@@ -324,6 +324,10 @@ mod tests {
 
     #[test]
     fn no_plan_is_a_no_op() {
+        // Hold the install lock, as every installed plan does, so no
+        // concurrently running test arms a plan while this one checks
+        // the unarmed path.
+        let _serial = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         // Must not unwind and must cost nothing observable.
         for s in site::ALL {
             inject(s);

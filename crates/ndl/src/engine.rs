@@ -42,7 +42,7 @@ use obda_budget::{Budget, BudgetOps, SharedBudget, WorkerBudget};
 use obda_owlql::abox::ConstId;
 use obda_telemetry::Telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -111,6 +111,9 @@ pub fn evaluate_engine_on_budgeted(
 /// through `telem`: a `prune` span (clause counts before/after), then an
 /// `eval` span whose children are `stratum-schedule`, per-stratum
 /// `stratum` spans and per-task `clause_task` spans with join counters.
+/// With a registry, the engine adds to the `ndl_tuples_generated`,
+/// `ndl_join_bindings_total`, `ndl_budget_ticks`,
+/// `engine_tasks_executed` and `engine_clauses_skipped` counters.
 pub fn evaluate_engine_on_traced(
     query: &NdlQuery,
     db: &Database,
@@ -281,6 +284,7 @@ fn eval_task_isolated<B: BudgetOps>(
     task: &Task<'_>,
     outs: &[Mutex<(Relation, usize)>],
     buf: &mut Vec<u32>,
+    bindings: &AtomicU64,
     telem: &Telemetry<'_>,
 ) -> Result<(), Halt> {
     let span = telem.tracer.enabled().then(|| telem.span("clause_task"));
@@ -291,6 +295,7 @@ fn eval_task_isolated<B: BudgetOps>(
         Ok(result) => result,
         Err(payload) => Err(halt_from_panic("ndl::engine::clause_task", payload)),
     };
+    bindings.fetch_add(join.bindings, Ordering::Relaxed);
     if let Some(span) = &span {
         span.attr_str("head", &query.program.pred(task.clause.head).name);
         if let Some((lo, hi)) = task.range {
@@ -299,6 +304,7 @@ fn eval_task_isolated<B: BudgetOps>(
         }
         span.attr("rows_scanned", join.scanned);
         span.attr("index_hits", join.index_hits);
+        span.attr("bindings", join.bindings);
         span.attr("rows_emitted", join.emitted);
         if task.plan.costed {
             span.attr("est_rows", task.plan.est_out.round().max(0.0) as u64);
@@ -312,12 +318,15 @@ fn eval_task_isolated<B: BudgetOps>(
     result.map(|_| ())
 }
 
-/// Scheduling observability: how many tasks actually ran and how many
-/// clauses were skipped because a body relation was known empty.
+/// Scheduling observability: how many tasks actually ran, how many
+/// clauses were skipped because a body relation was known empty, and
+/// how many intermediate bindings the tasks' joins kept (a statistic
+/// summed by the workers; it publishes nothing, hence `Relaxed`).
 #[derive(Default)]
 struct SchedStats {
     executed: u64,
     skipped: u64,
+    bindings: AtomicU64,
 }
 
 #[allow(clippy::too_many_arguments)] // internal driver; bundling would just rename the args
@@ -362,6 +371,7 @@ fn run(
     span.attr("clauses_skipped", sched.skipped);
     if let Some(metrics) = telem.metrics {
         metrics.counter("ndl_tuples_generated").add(tuples as u64);
+        metrics.counter("ndl_join_bindings_total").add(sched.bindings.load(Ordering::Relaxed));
         metrics.counter("ndl_budget_ticks").add(budget.spent_steps().saturating_sub(ticks_before));
         metrics.counter("engine_tasks_executed").add(sched.executed);
         metrics.counter("engine_clauses_skipped").add(sched.skipped);
@@ -524,9 +534,17 @@ fn run_inner(
             let mut halt = None;
             for t in &tasks {
                 sched.executed += 1;
-                if let Err(h) =
-                    eval_task_isolated(query, db, &idb, budget, t, &outs, &mut buf, &stratum_telem)
-                {
+                if let Err(h) = eval_task_isolated(
+                    query,
+                    db,
+                    &idb,
+                    budget,
+                    t,
+                    &outs,
+                    &mut buf,
+                    &sched.bindings,
+                    &stratum_telem,
+                ) {
                     halt = Some(h);
                     break;
                 }
@@ -537,6 +555,7 @@ fn run_inner(
             let next = AtomicUsize::new(0);
             let abort = AtomicBool::new(false);
             let first_halt: Mutex<Option<Halt>> = Mutex::new(None);
+            let bindings = &sched.bindings;
             std::thread::scope(|scope| {
                 for _ in 0..threads.min(tasks.len()) {
                     scope.spawn(|| {
@@ -553,6 +572,7 @@ fn run_inner(
                                 task,
                                 &outs,
                                 &mut buf,
+                                bindings,
                                 &stratum_telem,
                             ) {
                                 // Budget halts already poisoned the shared

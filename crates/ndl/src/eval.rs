@@ -20,6 +20,7 @@
 use crate::analysis::topological_order;
 use crate::planner::{plan_query, JoinPlan, PlannedAccess, QueryPlan};
 use crate::program::{BodyAtom, CVar, Clause, NdlQuery, PredId, PredKind, Program};
+use crate::rowset::RowSet;
 use crate::storage::{Database, Relation};
 use obda_budget::{Budget, BudgetExceeded, BudgetOps, Resource};
 use obda_owlql::abox::{ConstId, DataInstance};
@@ -290,6 +291,8 @@ pub(crate) fn relation<'r>(
 struct Counters {
     generated: usize,
     per_pred: Vec<usize>,
+    /// Intermediate bindings kept by the join kernel ([`JoinCounters::bindings`]).
+    bindings: u64,
 }
 
 /// Join-kernel observability counters, accumulated per clause evaluation.
@@ -303,7 +306,14 @@ pub(crate) struct JoinCounters {
     pub scanned: u64,
     /// Candidate rows obtained via a column-index probe (⊆ `scanned`).
     pub index_hits: u64,
-    /// Head rows handed to the emit callback (before deduplication).
+    /// Bindings kept after the predicate steps, summed over the steps:
+    /// candidates that matched and, on a projecting step, were the first
+    /// with their live key (the intermediate results the join carried).
+    pub bindings: u64,
+    /// Head rows handed to the emit callback. The last step projects
+    /// onto the head variables, so these are distinct within one kernel
+    /// call; rows derived by other clauses or chunk tasks are merged by
+    /// the head relation's own deduplication.
     pub emitted: u64,
     /// Binding-batch size after each executed plan step, parallel to the
     /// plan's `order` (the *actual* counterpart of the plan's `est_rows`;
@@ -317,6 +327,7 @@ impl JoinCounters {
     pub fn absorb(&mut self, other: &JoinCounters) {
         self.scanned += other.scanned;
         self.index_hits += other.index_hits;
+        self.bindings += other.bindings;
         self.emitted += other.emitted;
         if self.atom_rows.len() < other.atom_rows.len() {
             self.atom_rows.resize(other.atom_rows.len(), 0);
@@ -336,43 +347,153 @@ pub(crate) fn error_stats(e: &EvalError) -> Option<&EvalStats> {
     }
 }
 
-/// Verifies `row` against `binding` and, on success, appends the
-/// extended binding to the flat `next` arena. Every argument position is
-/// checked — bound slots must match, and repeated variables inside the
-/// atom must agree — so the kernel is correct for *any* atom order and
-/// access path the planner chooses.
-#[inline]
-fn extend_binding<B: BudgetOps>(
-    binding: &[u32],
-    row: &[u32],
-    args: &[CVar],
-    next: &mut Vec<u32>,
-    next_len: &mut usize,
-    budget: &mut B,
-) -> Result<(), Halt> {
-    budget.tick()?;
-    for (k, &var) in args.iter().enumerate() {
-        let slot = binding[var.0 as usize];
-        if slot != UNBOUND {
-            if slot != row[k] {
-                return Ok(());
+/// Where one word of a projection key comes from, for a candidate
+/// `(binding, row)`: a binding slot, or an argument position of the row
+/// (a slot the atom binds or has just checked against the binding).
+#[derive(Debug, Clone, Copy)]
+enum KeySrc {
+    Slot(usize),
+    Col(usize),
+}
+
+/// How one predicate step treats its candidate rows, derived once per
+/// step from which slots the earlier steps bound (every binding of a
+/// batch has the same slots bound), plus the kernel's scratch buffers,
+/// reused across the steps of one clause.
+#[derive(Default)]
+struct StepShape {
+    /// `(position, slot)`: the row must equal the binding's bound slot.
+    checks: Vec<(usize, usize)>,
+    /// `(position, earlier position)`: a variable repeated inside the
+    /// atom, unbound before it; the two row values must agree.
+    repeats: Vec<(usize, usize)>,
+    /// `(position, slot)`: the row binds the slot (first occurrences).
+    binds: Vec<(usize, usize)>,
+    /// Sources of the projection key, one per live slot.
+    key_srcs: Vec<KeySrc>,
+    /// Whether the step projects (dedups on `key_srcs`).
+    projects: bool,
+    /// The keys of the bindings kept so far (strided by the key width)
+    /// and the exact set over them.
+    seen: RowSet,
+    keys: Vec<u32>,
+    key: Vec<u32>,
+}
+
+impl StepShape {
+    /// Prepares a predicate step over `args`, given the slots bound
+    /// before it and the live slots it projects onto, if any.
+    fn predicate(&mut self, args: &[CVar], bound: &[bool], live: Option<&[CVar]>) {
+        self.checks.clear();
+        self.repeats.clear();
+        self.binds.clear();
+        for (k, v) in args.iter().enumerate() {
+            let slot = v.0 as usize;
+            if bound[slot] {
+                self.checks.push((k, slot));
+            } else if let Some(j) = args[..k].iter().position(|w| w == v) {
+                self.repeats.push((k, j));
+            } else {
+                self.binds.push((k, slot));
             }
-        } else if let Some(j) = args[..k].iter().position(|&w| w == var) {
-            if row[j] != row[k] {
+        }
+        self.key_srcs.clear();
+        if let Some(live) = live {
+            // A live slot the atom mentions is read from the row: the
+            // checks above make it equal to any bound value.
+            self.key_srcs.extend(live.iter().map(|v| match args.iter().position(|a| a == v) {
+                Some(k) => KeySrc::Col(k),
+                None => KeySrc::Slot(v.0 as usize),
+            }));
+        }
+        self.start_projection(live.map(<[CVar]>::len));
+    }
+
+    /// Starts a new key set of `width` words, or none.
+    fn start_projection(&mut self, width: Option<usize>) {
+        self.projects = width.is_some();
+        if let Some(width) = width {
+            self.seen.clear();
+            self.keys.clear();
+            self.key.clear();
+            self.key.resize(width, 0);
+        }
+    }
+
+    /// Records the key in `self.key`; whether it was not seen before.
+    #[inline]
+    fn first(&mut self) -> bool {
+        let width = self.key.len();
+        if !self.seen.insert(&self.keys, width, &self.key) {
+            return false;
+        }
+        self.keys.extend_from_slice(&self.key);
+        true
+    }
+
+    /// [`StepShape::first`] for the key of `binding` on the slots `live`
+    /// (an equality step's projection).
+    fn first_of(&mut self, binding: &[u32], live: &[CVar]) -> bool {
+        for (dst, v) in self.key.iter_mut().zip(live) {
+            *dst = binding[v.0 as usize];
+        }
+        self.first()
+    }
+
+    /// Offers candidate `row` for `binding`: every argument position is
+    /// checked — bound slots must match, and repeated variables inside
+    /// the atom must agree — so the kernel is correct for *any* atom
+    /// order and access path the planner chooses. On a projecting step
+    /// the key is formed from `binding` and `row` before anything is
+    /// copied, and a binding whose key was already kept is dropped.
+    #[inline]
+    fn offer<B: BudgetOps>(
+        &mut self,
+        binding: &[u32],
+        row: &[u32],
+        next: &mut Vec<u32>,
+        next_len: &mut usize,
+        budget: &mut B,
+    ) -> Result<(), Halt> {
+        budget.tick()?;
+        for &(k, slot) in &self.checks {
+            if row[k] != binding[slot] {
                 return Ok(());
             }
         }
+        for &(k, j) in &self.repeats {
+            if row[k] != row[j] {
+                return Ok(());
+            }
+        }
+        if self.projects {
+            for (dst, src) in self.key.iter_mut().zip(&self.key_srcs) {
+                *dst = match *src {
+                    KeySrc::Slot(v) => binding[v],
+                    KeySrc::Col(k) => row[k],
+                };
+            }
+            if !self.first() {
+                return Ok(());
+            }
+        }
+        let base = next.len();
+        next.extend_from_slice(binding);
+        for &(k, slot) in &self.binds {
+            next[base + slot] = row[k];
+        }
+        *next_len += 1;
+        // Intermediate join results count against the tuple budget too — a
+        // join can explode without ever reaching the head.
+        budget.check_tuple_headroom(*next_len as u64)?;
+        Ok(())
     }
-    let base = next.len();
-    next.extend_from_slice(binding);
-    for (k, &var) in args.iter().enumerate() {
-        next[base + var.0 as usize] = row[k];
-    }
-    *next_len += 1;
-    // Intermediate join results count against the tuple budget too — a
-    // join can explode without ever reaching the head.
-    budget.check_tuple_headroom(*next_len as u64)?;
-    Ok(())
+}
+
+/// Row `i` of a row-major arena of `arity`-word rows.
+#[inline]
+fn row_at(words: &[u32], arity: usize, i: usize) -> &[u32] {
+    &words[i * arity..i * arity + arity]
 }
 
 /// The kernel's row sink: called once per satisfying head binding, with
@@ -380,11 +501,16 @@ fn extend_binding<B: BudgetOps>(
 pub(crate) type EmitFn<'a, B> = dyn FnMut(&[u32], &mut B) -> Result<(), Halt> + 'a;
 
 /// Evaluates one clause body batch-at-a-time along `plan`, calling
-/// `emit` for every binding that satisfies the body. Bindings live in a
-/// flat `num_vars`-strided arena ping-ponged between two buffers — no
+/// `emit` once per distinct head row the body derives. Bindings live in
+/// a flat `num_vars`-strided arena ping-ponged between two buffers — no
 /// per-row allocation — and each plan step processes the whole batch
 /// against one relation: a chunked scan, a hash-index probe on the
 /// planned column, or a binary-search merge on sorted column 0.
+///
+/// After a step that drops a bound slot (`plan.project`), only the first
+/// binding per distinct key of still-live slots survives; the last step
+/// keys on the head variables. Projection changes how many bindings the
+/// join carries, never which head rows it derives.
 ///
 /// When `first_range = Some((lo, hi))` and the first planned step is a
 /// scan, only rows `lo..hi` of its relation seed the join — the
@@ -409,13 +535,18 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
     let mut cur: Vec<u32> = vec![UNBOUND; stride];
     let mut cur_len: usize = 1;
     let mut next: Vec<u32> = Vec::new();
+    let mut shape = StepShape::default();
+    // Slots bound by the steps so far — the same for every binding.
+    let mut bound = vec![false; stride];
     for (oi, (&i, access)) in plan.order.iter().zip(&plan.access).enumerate() {
         if cur_len == 0 {
             break;
         }
+        let live = plan.project.get(oi).and_then(Option::as_deref);
         match &clause.body[i] {
             BodyAtom::Eq(a, b) => {
                 let (a, b) = (a.0 as usize, b.0 as usize);
+                shape.start_projection(live.map(<[CVar]>::len));
                 let mut w = 0usize;
                 for r in 0..cur_len {
                     budget.tick()?;
@@ -434,6 +565,8 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
                         }
                         (true, true) => unreachable!("join order binds one side first"),
                     };
+                    let keep =
+                        keep && live.is_none_or(|l| shape.first_of(&cur[base..base + stride], l));
                     if keep {
                         if w != r {
                             cur.copy_within(base..base + stride, w * stride);
@@ -446,6 +579,7 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
             }
             BodyAtom::EqConst(a, c) => {
                 let (a, c) = (a.0 as usize, c.0);
+                shape.start_projection(live.map(<[CVar]>::len));
                 let mut w = 0usize;
                 for r in 0..cur_len {
                     budget.tick()?;
@@ -457,6 +591,8 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
                     } else {
                         va == c
                     };
+                    let keep =
+                        keep && live.is_none_or(|l| shape.first_of(&cur[base..base + stride], l));
                     if keep {
                         if w != r {
                             cur.copy_within(base..base + stride, w * stride);
@@ -469,6 +605,8 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
             }
             BodyAtom::Pred(p, args) => {
                 let rel = relation(program, db, idb, *p);
+                let (words, arity) = (rel.words(), rel.arity());
+                shape.predicate(args, &bound, live);
                 next.clear();
                 let mut next_len = 0usize;
                 match access {
@@ -482,14 +620,8 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
                             counters.scanned += (hi - lo) as u64;
                             let binding = &cur[r * stride..r * stride + stride];
                             for rr in lo..hi {
-                                extend_binding(
-                                    binding,
-                                    rel.row(rr),
-                                    args,
-                                    &mut next,
-                                    &mut next_len,
-                                    budget,
-                                )?;
+                                let row = row_at(words, arity, rr);
+                                shape.offer(binding, row, &mut next, &mut next_len, budget)?;
                             }
                         }
                     }
@@ -504,14 +636,8 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
                             counters.scanned += hits.len() as u64;
                             counters.index_hits += hits.len() as u64;
                             for &row_id in hits {
-                                extend_binding(
-                                    binding,
-                                    rel.row(row_id as usize),
-                                    args,
-                                    &mut next,
-                                    &mut next_len,
-                                    budget,
-                                )?;
+                                let row = row_at(words, arity, row_id as usize);
+                                shape.offer(binding, row, &mut next, &mut next_len, budget)?;
                             }
                         }
                     }
@@ -535,14 +661,8 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
                             };
                             counters.scanned += (hi - lo) as u64;
                             for rr in lo..hi {
-                                extend_binding(
-                                    binding,
-                                    rel.row(rr),
-                                    args,
-                                    &mut next,
-                                    &mut next_len,
-                                    budget,
-                                )?;
+                                let row = row_at(words, arity, rr);
+                                shape.offer(binding, row, &mut next, &mut next_len, budget)?;
                             }
                         }
                     }
@@ -561,21 +681,19 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
                             counters.scanned += hits.len() as u64;
                             counters.index_hits += hits.len() as u64;
                             for &row_id in hits {
-                                extend_binding(
-                                    binding,
-                                    rel.row(row_id as usize),
-                                    args,
-                                    &mut next,
-                                    &mut next_len,
-                                    budget,
-                                )?;
+                                let row = row_at(words, arity, row_id as usize);
+                                shape.offer(binding, row, &mut next, &mut next_len, budget)?;
                             }
                         }
                     }
                 }
-                std::mem::swap(&mut cur, &mut next);
                 cur_len = next_len;
+                counters.bindings += cur_len as u64;
+                std::mem::swap(&mut cur, &mut next);
             }
+        }
+        for v in clause.body[i].vars() {
+            bound[v.0 as usize] = true;
         }
         counters.atom_rows.push(cur_len as u64);
     }
@@ -633,10 +751,12 @@ fn eval_clause(
             Ok(())
         },
     );
+    counters.bindings += join.bindings;
     if let Some(span) = &span {
         span.attr_str("head", &program.pred(clause.head).name);
         span.attr("rows_scanned", join.scanned);
         span.attr("index_hits", join.index_hits);
+        span.attr("bindings", join.bindings);
         span.attr("rows_emitted", join.emitted);
         if plan.costed {
             span.attr("est_rows", plan.est_out.round().max(0.0) as u64);
@@ -702,8 +822,9 @@ pub fn evaluate_on_budgeted(
 
 /// Like [`evaluate_on_budgeted`], recording spans and metrics through
 /// `telem`: one `eval` span with a `clause` child per clause evaluated
-/// (join counters attached), plus `ndl_tuples_generated` and
-/// `ndl_budget_ticks` counters when a registry is present.
+/// (join counters attached), plus `ndl_tuples_generated`,
+/// `ndl_join_bindings_total` and `ndl_budget_ticks` counters when a
+/// registry is present.
 pub fn evaluate_on_traced(
     query: &NdlQuery,
     db: &Database,
@@ -714,7 +835,9 @@ pub fn evaluate_on_traced(
     span.attr_str("engine", "sequential");
     let ticks_before = budget.spent_steps();
     let qplan = plan_query(query, db);
-    let result = evaluate_inner(query, db, budget, &telem.under(&span), &qplan, None);
+    let mut bindings = 0;
+    let result =
+        evaluate_inner(query, db, budget, &telem.under(&span), &qplan, None, &mut bindings);
     let tuples = match &result {
         Ok(res) => res.stats.generated_tuples,
         Err(e) => error_stats(e).map_or(0, |s| s.generated_tuples),
@@ -728,6 +851,7 @@ pub fn evaluate_on_traced(
     }
     if let Some(metrics) = telem.metrics {
         metrics.counter("ndl_tuples_generated").add(tuples as u64);
+        metrics.counter("ndl_join_bindings_total").add(bindings);
         metrics.counter("ndl_budget_ticks").add(budget.spent_steps() - ticks_before);
     }
     result
@@ -744,7 +868,8 @@ pub(crate) fn evaluate_collecting(
     qplan: &QueryPlan,
 ) -> Result<(EvalResult, Vec<JoinCounters>), EvalError> {
     let mut obs = vec![JoinCounters::default(); query.program.clauses().len()];
-    let res = evaluate_inner(query, db, budget, &Telemetry::disabled(), qplan, Some(&mut obs))?;
+    let res =
+        evaluate_inner(query, db, budget, &Telemetry::disabled(), qplan, Some(&mut obs), &mut 0)?;
     Ok((res, obs))
 }
 
@@ -755,6 +880,7 @@ fn evaluate_inner(
     telem: &Telemetry<'_>,
     qplan: &QueryPlan,
     mut obs: Option<&mut Vec<JoinCounters>>,
+    bindings: &mut u64,
 ) -> Result<EvalResult, EvalError> {
     let start = Instant::now();
     let program = &query.program;
@@ -767,7 +893,8 @@ fn evaluate_inner(
             _ => Relation::new(0),
         })
         .collect();
-    let mut counters = Counters { generated: 0, per_pred: vec![0; program.num_preds()] };
+    let mut counters =
+        Counters { generated: 0, per_pred: vec![0; program.num_preds()], bindings: 0 };
     let stats_at = |counters: &Counters, num_answers: usize, start: Instant| EvalStats {
         generated_tuples: counters.generated,
         num_answers,
@@ -793,6 +920,7 @@ fn evaluate_inner(
                     telem,
                     obs.as_deref_mut().map(|v| &mut v[ci]),
                 ) {
+                    *bindings = counters.bindings;
                     let goal_answers = counters.per_pred[query.goal.0 as usize];
                     return Err(halt_to_error(halt, stats_at(&counters, goal_answers, start)));
                 }
@@ -800,6 +928,7 @@ fn evaluate_inner(
         }
         idb[p.0 as usize] = out;
     }
+    *bindings = counters.bindings;
     let goal_rel = std::mem::replace(&mut idb[query.goal.0 as usize], Relation::new(0));
     let mut answers: Vec<Vec<ConstId>> =
         goal_rel.rows().map(|row| row.iter().copied().map(ConstId).collect()).collect();

@@ -13,12 +13,16 @@
 //!   recording the *actual* batch cardinality after every step, so
 //!   misestimation is visible per atom.
 //!
+//! Every rendering marks the steps after which the kernel projects the
+//! binding batch (`project(x0, x2)`: the live variables it keeps
+//! distinct).
+//!
 //! The CLI's `obda explain` command renders these for the rewriting and
 //! for the pruned program.
 
 use crate::eval::{evaluate_collecting, reachable_from_goal, EvalError, EvalResult, JoinCounters};
 use crate::planner::{plan_query, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan};
-use crate::program::{BodyAtom, NdlQuery, PredId, PredKind, Program};
+use crate::program::{BodyAtom, CVar, NdlQuery, PredId, PredKind, Program};
 use crate::storage::Database;
 use obda_budget::Budget;
 
@@ -57,8 +61,13 @@ pub struct ClausePlan {
     pub est_rows: Vec<f64>,
     /// Observed binding-batch size after each executed atom, parallel
     /// to `order`; empty unless the query was actually evaluated
-    /// ([`explain_plan_executed`]).
+    /// ([`explain_plan_executed`]). Counted after the step's projection.
     pub actual_rows: Vec<u64>,
+    /// Per executed atom, parallel to `order`: the live variables the
+    /// kernel deduplicates the binding batch on after that step, or
+    /// `None` when the step projects nothing away (see
+    /// [`JoinPlan::project`]).
+    pub project: Vec<Option<Vec<CVar>>>,
     /// The error, if the clause cannot be ordered (unsafe equality).
     pub error: Option<String>,
 }
@@ -112,6 +121,7 @@ fn clause_plan_from(
                 atoms: Vec::new(),
                 est_rows: Vec::new(),
                 actual_rows: Vec::new(),
+                project: Vec::new(),
                 error: Some(msg.clone()),
             };
         }
@@ -134,6 +144,7 @@ fn clause_plan_from(
         atoms,
         est_rows: jp.est_rows.clone(),
         actual_rows: actual,
+        project: jp.project.clone(),
         error: None,
     }
 }
@@ -281,6 +292,11 @@ impl std::fmt::Display for PlanDisplay<'_> {
                         if let Some(actual) = clause.actual_rows.get(k) {
                             s.push_str(&format!(" actual={actual}"));
                         }
+                        if let Some(Some(live)) = clause.project.get(k) {
+                            let vars: Vec<String> =
+                                live.iter().map(|v| format!("x{}", v.0)).collect();
+                            s.push_str(&format!(" project({})", vars.join(", ")));
+                        }
                         s
                     })
                     .collect();
@@ -294,7 +310,7 @@ impl std::fmt::Display for PlanDisplay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{CVar, Clause};
+    use crate::program::Clause;
 
     fn sample() -> NdlQuery {
         let mut p = Program::new();
@@ -416,8 +432,11 @@ mod tests {
         assert_eq!(t_clause.actual_rows.len(), t_clause.order.len());
         // R ⋈ R over the 3-row chain leaves 2 bindings after the probe.
         assert_eq!(t_clause.actual_rows[1], 2);
+        // The probe is x1's last reader: the step projects onto the head.
+        assert_eq!(t_clause.project, vec![None, Some(vec![CVar(0), CVar(2)])]);
         let text = plan.display(&q.program).to_string();
         assert!(text.contains("est\u{2248}"), "{text}");
         assert!(text.contains("actual="), "{text}");
+        assert!(text.contains("actual=2 project(x0, x2)"), "{text}");
     }
 }

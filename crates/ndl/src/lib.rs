@@ -59,6 +59,7 @@ pub mod planner;
 pub mod program;
 pub mod reference;
 pub mod relevance;
+mod rowset;
 pub mod skinny;
 pub mod star;
 pub mod stats;

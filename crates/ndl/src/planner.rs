@@ -40,7 +40,7 @@ use crate::eval::join_order;
 use crate::program::{BodyAtom, CVar, Clause, NdlQuery, PredId, PredKind, Program};
 use crate::storage::Database;
 use obda_owlql::util::FxHashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Access path the kernel uses for one planned step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +71,12 @@ pub struct JoinPlan {
     /// Estimated binding-batch size *after* each step, parallel to
     /// `order`; empty for uncosted (syntactic) plans.
     pub est_rows: Vec<f64>,
-    /// Estimated rows emitted to the head (before deduplication).
+    /// Early projection per step, parallel to `order`: `Some(live)` when
+    /// the kernel deduplicates the batch on the still-live slots `live`
+    /// after that step, `None` when the batch needs no deduplication.
+    pub project: Vec<Option<Vec<CVar>>>,
+    /// Estimated rows emitted to the head (the join's output size under
+    /// the independence assumptions, before any deduplication).
     pub est_out: f64,
     /// Total estimated access cost (internal units; comparable only
     /// between plans of the same clause).
@@ -117,13 +122,20 @@ impl QueryPlan {
     }
 }
 
-/// Total query plans built in this process (monotone; tests assert
-/// caching with it).
-static PLANS_BUILT: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Query plans built on this thread (monotone; tests assert caching
+    /// with it). Per thread because planning runs on the caller's thread,
+    /// so concurrent tests never see each other's plans.
+    static PLANS_BUILT: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Total query plans built in this process (monotone counter).
+fn count_plan() {
+    PLANS_BUILT.with(|n| n.set(n.get() + 1));
+}
+
+/// Total query plans built on the calling thread (monotone counter).
 pub fn plans_built() -> usize {
-    PLANS_BUILT.load(Ordering::Relaxed)
+    PLANS_BUILT.with(Cell::get)
 }
 
 /// What the planner knows about one predicate's relation.
@@ -297,6 +309,7 @@ impl PlanState {
         }
         debug_assert_eq!(self.order.len(), clause.body.len());
         Ok(JoinPlan {
+            project: projections(clause, &self.order),
             order: self.order,
             access: self.access,
             est_rows: self.est,
@@ -443,14 +456,72 @@ pub fn syntactic_plan(clause: &Clause) -> Result<JoinPlan, String> {
             bound.insert(v);
         }
     }
-    Ok(JoinPlan { order, access, est_rows: Vec::new(), est_out: 0.0, cost: 0.0, costed: false })
+    Ok(JoinPlan {
+        project: projections(clause, &order),
+        order,
+        access,
+        est_rows: Vec::new(),
+        est_out: 0.0,
+        cost: 0.0,
+        costed: false,
+    })
+}
+
+/// Early projection for an executable atom order: per step, the slots
+/// the kernel deduplicates the binding batch on afterwards, or `None`.
+///
+/// A slot is *live* after step `k` when it is bound and a later atom or
+/// the head reads it. The batch is always distinct on some key set `K`
+/// (initially empty — one binding): a step widens `K` by the slots its
+/// atom binds (relations are sets, so distinct rows give distinct
+/// bindings), and a projection resets `K` to the live slots. A
+/// predicate step projects when `K` holds a slot that is no longer live
+/// — the bindings that agree on every live slot then derive exactly the
+/// same head rows, so the kernel keeps the first of them. Equality
+/// steps never grow the batch and do not project, except as the last
+/// step; the last step's live slots are the head variables, so the head
+/// sees only distinct rows (at most one, for a Boolean head).
+pub(crate) fn projections(clause: &Clause, order: &[usize]) -> Vec<Option<Vec<CVar>>> {
+    let n = clause.num_vars as usize;
+    // needed_after[k][v]: slot v is read by a step after k or the head.
+    let mut needed = vec![false; n];
+    for v in &clause.head_args {
+        needed[v.0 as usize] = true;
+    }
+    let mut needed_after = vec![Vec::new(); order.len()];
+    for (k, &i) in order.iter().enumerate().rev() {
+        needed_after[k] = needed.clone();
+        for v in clause.body[i].vars() {
+            needed[v.0 as usize] = true;
+        }
+    }
+    let mut bound = vec![false; n];
+    let mut key = vec![false; n];
+    let last = order.len().saturating_sub(1);
+    let mut out = Vec::with_capacity(order.len());
+    for (k, &i) in order.iter().enumerate() {
+        for v in clause.body[i].vars() {
+            bound[v.0 as usize] = true;
+            key[v.0 as usize] = true;
+        }
+        let live = &needed_after[k];
+        let drops = (0..n).any(|v| key[v] && !live[v]);
+        let pred = matches!(clause.body[i], BodyAtom::Pred(..));
+        if drops && (pred || k == last) {
+            key = (0..n).map(|v| bound[v] && live[v]).collect();
+            out.push(Some((0..n).filter(|&v| key[v]).map(|v| CVar(v as u32)).collect()));
+        } else {
+            out.push(None);
+        }
+    }
+    out
 }
 
 /// Cost-based plans for every clause, statistics drawn from `db`.
 /// A pure function of `(query, db)`: callers may cache the result per
 /// database (see `Database::id`) and share it across executions.
 pub fn plan_query(query: &NdlQuery, db: &Database) -> QueryPlan {
-    PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
+    count_plan();
     let program = &query.program;
     let nclauses = program.clauses().len();
     let mut est_pred_rows = vec![0.0f64; program.num_preds()];
@@ -498,7 +569,7 @@ pub fn plan_query(query: &NdlQuery, db: &Database) -> QueryPlan {
 /// Uncosted plans for every clause (the seed engines' behaviour); needs
 /// no database.
 pub fn syntactic_query_plan(query: &NdlQuery) -> QueryPlan {
-    PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
+    count_plan();
     let program = &query.program;
     QueryPlan {
         clauses: program.clauses().iter().map(syntactic_plan).collect(),

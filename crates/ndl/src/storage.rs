@@ -56,21 +56,14 @@
 //! set), so a pruned query faults in only the columns it joins.
 
 use crate::program::PredKind;
+use crate::rowset::RowSet;
 use crate::stats::RelStats;
 use obda_owlql::abox::DataInstance;
-use obda_owlql::util::{FxHashMap, FxHasher};
+use obda_owlql::util::FxHashMap;
 use obda_owlql::vocab::{ClassId, PropId};
-use std::hash::Hasher;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-fn hash_row(row: &[u32]) -> u64 {
-    let mut h = FxHasher::default();
-    for &v in row {
-        h.write_u32(v);
-    }
-    h.finish()
-}
 
 /// Read-only word storage that can back a [`Relation`]'s row arena
 /// without being copied into it — the seam the snapshot store threads
@@ -222,10 +215,11 @@ pub struct Relation {
     arity: usize,
     num_rows: usize,
     data: Arena,
-    /// Exact dedup: row hash → candidate row numbers. Built lazily by the
-    /// first [`Relation::insert_if_new`]; plain [`Relation::push`] loading
-    /// of already-distinct rows never pays for it.
-    dedup: Option<FxHashMap<u64, Vec<u32>>>,
+    /// Exact dedup: a [`RowSet`] of row numbers into `data`. Built lazily
+    /// by the first [`Relation::insert_if_new`] or [`Relation::contains`];
+    /// plain [`Relation::push`] loading of already-distinct rows never
+    /// pays for it, and keeps it current once it exists.
+    dedup: OnceLock<RowSet>,
     /// Lazily built per-column indexes, invalidated on mutation.
     indexes: Vec<OnceLock<ColumnIndex>>,
     /// Lazily computed cardinality statistics, invalidated on mutation.
@@ -241,7 +235,7 @@ impl Relation {
             arity,
             num_rows: 0,
             data: Arena::Owned(Vec::new()),
-            dedup: None,
+            dedup: OnceLock::new(),
             indexes: (0..arity).map(|_| OnceLock::new()).collect(),
             stats: OnceLock::new(),
         }
@@ -274,7 +268,7 @@ impl Relation {
             arity,
             num_rows,
             data: Arena::Shared(arena),
-            dedup: None,
+            dedup: OnceLock::new(),
             indexes: (0..arity).map(|_| OnceLock::new()).collect(),
             stats: OnceLock::new(),
         }
@@ -342,6 +336,12 @@ impl Relation {
         &self.data.as_slice()[i * self.arity..(i + 1) * self.arity]
     }
 
+    /// The whole row-major arena (`len() × arity()` words). The join
+    /// kernel reads it once per plan step instead of once per row.
+    pub(crate) fn words(&self) -> &[u32] {
+        self.data.as_slice()
+    }
+
     /// Iterates over the rows.
     pub fn rows(&self) -> impl Iterator<Item = &[u32]> {
         // `chunks_exact(0)` panics, so arity-0 relations (Boolean goals)
@@ -356,8 +356,8 @@ impl Relation {
     pub fn push(&mut self, row: &[u32]) {
         debug_assert_eq!(row.len(), self.arity);
         self.invalidate_indexes();
-        if let Some(dedup) = &mut self.dedup {
-            dedup.entry(hash_row(row)).or_default().push(self.num_rows as u32);
+        if let Some(dedup) = self.dedup.get_mut() {
+            dedup.push_new(row);
         }
         self.data.to_mut().extend_from_slice(row);
         self.num_rows += 1;
@@ -371,38 +371,37 @@ impl Relation {
         // Injection site sits before any mutation: an unwind here leaves
         // the arena, dedup table and indexes exactly as they were.
         crate::fault::inject(crate::fault::site::STORAGE_INSERT);
-        let h = hash_row(row);
-        // Split borrows: the dedup table is (re)built from the row arena,
-        // then held mutably while the arena is only read. `to_mut` first:
-        // a shared arena is copied out before any mutation is attempted.
-        let (arity, data) = (self.arity, self.data.to_mut());
-        let dedup = self.dedup.get_or_insert_with(|| {
-            let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for i in 0..self.num_rows {
-                map.entry(hash_row(&data[i * arity..(i + 1) * arity])).or_default().push(i as u32);
-            }
-            map
-        });
-        let candidates = dedup.entry(h).or_default();
-        if candidates.iter().any(|&i| &data[i as usize * arity..(i as usize + 1) * arity] == row) {
+        if self.dedup.get().is_none() {
+            self.dedup = OnceLock::from(self.row_set());
+        }
+        // Split borrows: the set is held mutably while the arena is only
+        // read, then the new row is appended. `to_mut` first: a shared
+        // arena is copied out before any mutation is attempted.
+        let data = self.data.to_mut();
+        let Some(dedup) = self.dedup.get_mut() else {
+            unreachable!("the dedup set was installed above")
+        };
+        debug_assert_eq!(dedup.len(), self.num_rows, "one set entry per row");
+        if !dedup.insert(data, self.arity, row) {
             return false;
         }
-        candidates.push(self.num_rows as u32);
         data.extend_from_slice(row);
         self.num_rows += 1;
         self.invalidate_indexes();
         true
     }
 
-    /// Whether an equal row is present (linear scan unless dedup metadata
-    /// exists; used by tests and the linear evaluator's seed check).
+    /// Whether an equal row is present: exact, O(1) per call once the
+    /// dedup set exists (the first call on a push-loaded relation builds
+    /// it, under `&self` like the lazy column indexes).
     pub fn contains(&self, row: &[u32]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
-        if let Some(dedup) = &self.dedup {
-            let Some(candidates) = dedup.get(&hash_row(row)) else { return false };
-            return candidates.iter().any(|&i| self.row(i as usize) == row);
-        }
-        self.rows().any(|r| r == row)
+        self.dedup.get_or_init(|| self.row_set()).find(self.words(), self.arity, row).is_some()
+    }
+
+    /// A fresh dedup set over the current rows.
+    fn row_set(&self) -> RowSet {
+        RowSet::from_rows(self.words(), self.arity, self.num_rows)
     }
 
     /// The cardinality statistics, computed on first use (one pass per
@@ -507,10 +506,19 @@ impl Relation {
     }
 }
 
-/// How many [`Database`]s have been built in this process — used by the
-/// experiment harness to assert that dataset loading is amortised (at most
-/// one build per dataset, shared across all strategies).
-static DATABASE_BUILDS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// How many [`Database`]s this thread has built — used by the
+    /// experiment harness and tests to assert that dataset loading is
+    /// amortised (at most one build per dataset, shared across all
+    /// strategies). Per thread because a build runs on its caller's
+    /// thread: a process-wide count would also see every build of every
+    /// other thread, so concurrent tests could not assert "no rebuild".
+    static DATABASE_BUILDS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_build() {
+    DATABASE_BUILDS.with(|n| n.set(n.get() + 1));
+}
 
 /// Monotone id source for [`Database::id`]; never reused within a process.
 static DATABASE_IDS: AtomicUsize = AtomicUsize::new(1);
@@ -586,7 +594,7 @@ impl Database {
     /// Loads a data instance: one pass over the class atoms, one over the
     /// property atoms, one over the individuals.
     pub fn new(data: &DataInstance) -> Self {
-        DATABASE_BUILDS.fetch_add(1, Ordering::Relaxed);
+        count_build();
         let mut classes = FxHashMap::default();
         for (c, members) in data.members_by_class() {
             let mut rel = Relation::with_capacity(1, members.len());
@@ -652,7 +660,7 @@ impl Database {
         universe: Relation,
         num_atoms: usize,
     ) -> Self {
-        DATABASE_BUILDS.fetch_add(1, Ordering::Relaxed);
+        count_build();
         assert_eq!(universe.arity(), 1, "universe must be unary");
         Database {
             classes,
@@ -737,9 +745,10 @@ impl Database {
         self.num_atoms
     }
 
-    /// Total [`Database`] builds in this process (monotone counter).
+    /// Total [`Database`] builds on the calling thread (monotone
+    /// counter; builds on other threads are not counted).
     pub fn build_count() -> usize {
-        DATABASE_BUILDS.load(Ordering::Relaxed)
+        DATABASE_BUILDS.with(Cell::get)
     }
 }
 

@@ -21,7 +21,7 @@ use obda::{
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 use std::time::Duration;
 
 const ONTOLOGY: &str = "Professor SubClassOf exists teaches\n\
@@ -50,6 +50,15 @@ fn quiet_injected_panics() {
             }
         }));
     });
+}
+
+/// Fault plans are process-global, so the tests of this binary run one at
+/// a time: a test that computes its oracle or checks the disarmed path
+/// while another test's plan is armed would see that plan's faults.
+/// Every test holds this guard for its whole body.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A fast retry policy so full-sweep tests do not sleep their time away.
@@ -138,6 +147,7 @@ fn oracle() -> Vec<Vec<ConstId>> {
 
 #[test]
 fn pinned_seed_sweep_is_sound_at_every_site() {
+    let _serial = serial();
     quiet_injected_panics();
     let oracle = oracle();
     let services = [service(None), service(Some(engine_cfg(1))), service(Some(engine_cfg(4)))];
@@ -175,6 +185,7 @@ fn pinned_seed_sweep_is_sound_at_every_site() {
 
 #[test]
 fn oneshot_transient_fault_is_retried_to_success_in_order() {
+    let _serial = serial();
     quiet_injected_panics();
     let oracle = oracle();
     for threads in [1usize, 4] {
@@ -216,6 +227,7 @@ fn oneshot_transient_fault_is_retried_to_success_in_order() {
 
 #[test]
 fn injected_panics_are_never_retried() {
+    let _serial = serial();
     quiet_injected_panics();
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
     let q = sys.parse_query(QUERY).unwrap();
@@ -244,6 +256,7 @@ fn injected_panics_are_never_retried() {
 
 #[test]
 fn ladder_skips_strategies_whose_breaker_is_open() {
+    let _serial = serial();
     use obda::BreakerConfig;
     quiet_injected_panics();
     let svc = QueryService::new(
@@ -304,6 +317,7 @@ fn ladder_skips_strategies_whose_breaker_is_open() {
 
 #[test]
 fn exhausted_retries_degrade_with_a_transient_error() {
+    let _serial = serial();
     quiet_injected_panics();
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
     let q = sys.parse_query(QUERY).unwrap();
@@ -337,6 +351,7 @@ fn exhausted_retries_degrade_with_a_transient_error() {
 
 #[test]
 fn identical_plans_produce_identical_reports() {
+    let _serial = serial();
     quiet_injected_panics();
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
     let q = sys.parse_query(QUERY).unwrap();
@@ -375,6 +390,7 @@ fn identical_plans_produce_identical_reports() {
 
 #[test]
 fn injected_faults_appear_as_error_tagged_spans() {
+    let _serial = serial();
     use obda::{CollectingTracer, Telemetry};
 
     quiet_injected_panics();
@@ -439,6 +455,7 @@ fn injected_faults_appear_as_error_tagged_spans() {
 
 #[test]
 fn service_keeps_answering_after_sustained_failures() {
+    let _serial = serial();
     quiet_injected_panics();
     let oracle = oracle();
     let svc = service(Some(engine_cfg(1)));
@@ -470,6 +487,7 @@ fn service_keeps_answering_after_sustained_failures() {
 
 #[test]
 fn prepare_under_faults_fails_typed_then_recovers() {
+    let _serial = serial();
     quiet_injected_panics();
     let svc = service(None);
     let query = svc.system().parse_query(QUERY).unwrap();
@@ -511,6 +529,7 @@ fn store_fixture(path: &std::path::Path) -> ObdaSystem {
 
 #[test]
 fn store_open_transient_fault_is_typed_then_recovers() {
+    let _serial = serial();
     use obda::{Snapshot, StoreError};
 
     quiet_injected_panics();
@@ -537,6 +556,7 @@ fn store_open_transient_fault_is_typed_then_recovers() {
 
 #[test]
 fn store_open_injected_panic_unwinds_cleanly() {
+    let _serial = serial();
     use obda::Snapshot;
 
     quiet_injected_panics();
@@ -569,6 +589,7 @@ fn store_open_injected_panic_unwinds_cleanly() {
 ///   original.
 #[test]
 fn truncated_and_bit_flipped_snapshots_fail_typed() {
+    let _serial = serial();
     use obda::{Hydration, Snapshot, StoreError};
 
     quiet_injected_panics();
@@ -659,6 +680,7 @@ fn truncated_and_bit_flipped_snapshots_fail_typed() {
 /// very same file maps and answers once the plan is disarmed.
 #[test]
 fn store_map_transient_fault_is_typed_then_recovers() {
+    let _serial = serial();
     use obda::{Snapshot, StoreError};
 
     quiet_injected_panics();
@@ -693,6 +715,7 @@ fn store_map_transient_fault_is_typed_then_recovers() {
 /// escaped unwind, never a wrong answer.
 #[test]
 fn lazy_hydration_panic_is_isolated_by_the_pipeline() {
+    let _serial = serial();
     use obda::Snapshot;
 
     quiet_injected_panics();
@@ -743,6 +766,7 @@ proptest! {
         p_mil in 0u32..1000,
         engine_sel in 0u8..3,
     ) {
+        let _serial = serial();
         quiet_injected_panics();
         let oracle = oracle();
         let kind = if panic_kind { FaultKind::Panic } else { FaultKind::Transient };

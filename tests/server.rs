@@ -24,6 +24,7 @@ use obda::{
     ServerConfig, ServerHandle, ServiceConfig, TenantQuota,
 };
 use std::net::SocketAddr;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 /// The Example 11 ontology (`P ⊑ S`, `P ⊑ R⁻`) as text, identical to
@@ -34,6 +35,17 @@ const ONTOLOGY: &str = "P SubPropertyOf S\nP SubPropertyOf R-\n";
 const SCALE: f64 = 0.003;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Fault plans are process-global. The faulted soak (`--features faults`)
+/// holds this lock exclusively while its plans are armed; every other
+/// in-process test holds it shared, so none of them sees that soak's
+/// faults. Without the feature nothing takes it exclusively and the tests
+/// run concurrently.
+static FAULT_PLANS: RwLock<()> = RwLock::new(());
+
+fn unfaulted() -> RwLockReadGuard<'static, ()> {
+    FAULT_PLANS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The linear CQ for a word over `{R, S}` as parseable text (the textual
 /// twin of `obda::datagen::sequences::word_query`).
@@ -129,6 +141,7 @@ fn get(addr: SocketAddr, path: &str) -> HttpResponse {
 
 #[test]
 fn health_routing_and_http_abuse_are_typed() {
+    let _unfaulted = unfaulted();
     let (handle, _, _) = start_server(SCALE, |cfg| cfg.max_body_bytes = 256, &[]);
     let addr = handle.addr();
 
@@ -178,6 +191,7 @@ fn health_routing_and_http_abuse_are_typed() {
 
 #[test]
 fn metrics_explain_and_cache_are_observable() {
+    let _unfaulted = unfaulted();
     let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let query = word_query_text("RS");
@@ -210,6 +224,7 @@ fn metrics_explain_and_cache_are_observable() {
 
 #[test]
 fn explain_surfaces_cached_join_plan() {
+    let _unfaulted = unfaulted();
     let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let query = word_query_text("RS");
@@ -262,6 +277,7 @@ fn percent_encode(s: &str) -> String {
 
 #[test]
 fn concurrent_tenants_get_oracle_answers() {
+    let _unfaulted = unfaulted();
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let words = ["R", "S", "RR", "SR", "RRS"];
@@ -297,6 +313,7 @@ fn concurrent_tenants_get_oracle_answers() {
 
 #[test]
 fn quota_starved_tenant_is_shed_while_others_answer() {
+    let _unfaulted = unfaulted();
     let starved = TenantQuota { rate_per_sec: 0.001, burst: 1.0, max_concurrency: 8 };
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[("starved", starved)]);
     let addr = handle.addr();
@@ -329,6 +346,7 @@ fn quota_starved_tenant_is_shed_while_others_answer() {
 
 #[test]
 fn client_deadline_is_clamped_and_propagated() {
+    let _unfaulted = unfaulted();
     // A 1 ms deadline on a fresh (uncached) query must trip the budget
     // inside the pipeline and come back as a 504, not hang or 200.
     let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
@@ -367,6 +385,7 @@ fn client_deadline_is_clamped_and_propagated() {
 
 #[test]
 fn drain_flips_readyz_refuses_new_work_and_finishes() {
+    let _unfaulted = unfaulted();
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let query = word_query_text("RR");
@@ -402,6 +421,7 @@ fn drain_flips_readyz_refuses_new_work_and_finishes() {
 
 #[test]
 fn shutdown_endpoint_triggers_the_drain() {
+    let _unfaulted = unfaulted();
     let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let resp = client::request(addr, "POST", "/shutdown", &[], "", CLIENT_TIMEOUT).unwrap();
@@ -412,6 +432,7 @@ fn shutdown_endpoint_triggers_the_drain() {
 
 #[test]
 fn concurrent_shutdown_requests_drain_exactly_once() {
+    let _unfaulted = unfaulted();
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let query = word_query_text("RS");
@@ -463,6 +484,7 @@ fn concurrent_shutdown_requests_drain_exactly_once() {
 
 #[test]
 fn tenant_circuit_breaker_isolates_the_abusive_tenant() {
+    let _unfaulted = unfaulted();
     use obda::BreakerConfig;
     // Every query trips the budget on its first derived tuple, and one
     // failure inside the window opens a tenant's breaker.
@@ -504,6 +526,7 @@ fn tenant_circuit_breaker_isolates_the_abusive_tenant() {
 
 #[test]
 fn brownout_stamps_forces_and_sheds_over_http() {
+    let _unfaulted = unfaulted();
     use obda::BrownoutConfig;
     // A zero watermark (and zero exit factor) enters brownout on the
     // first served request and pins it — deterministic degradation.
@@ -621,6 +644,7 @@ fn soak_tenant(
 
 #[test]
 fn soak_three_tenant_traffic_stays_sound() {
+    let _unfaulted = unfaulted();
     let starved = TenantQuota { rate_per_sec: 5.0, burst: 3.0, max_concurrency: 2 };
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[("starved", starved)]);
     let addr = handle.addr();
@@ -697,6 +721,7 @@ mod faulted {
 
     #[test]
     fn soak_under_injected_faults_never_lies_and_never_dies() {
+        let _exclusive = FAULT_PLANS.write().unwrap_or_else(PoisonError::into_inner);
         quiet_injected_panics();
         let starved = TenantQuota { rate_per_sec: 10.0, burst: 3.0, max_concurrency: 2 };
         let (handle, sys, data) = start_server(SCALE, |_| {}, &[("starved", starved)]);
@@ -861,6 +886,11 @@ fn serve_binary_end_to_end() {
     // on stdin. During the drain: readyz 503, healthz 200, new queries
     // shed — the accept loop must still be serving.
     let loris = std::net::TcpStream::connect(addr).unwrap();
+    // The single accept loop takes connections in arrival order, so once
+    // a later request is answered the loris is accepted and counted as
+    // open; otherwise, on a loaded machine, the drain could find zero
+    // open connections and exit before the checks below.
+    assert_eq!(get(addr, "/healthz").status, 200);
     child.stdin.take().unwrap().write_all(b"shutdown\n").unwrap();
     std::thread::sleep(Duration::from_millis(150));
     let ready = get(addr, "/readyz");
