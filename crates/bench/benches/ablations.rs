@@ -6,14 +6,25 @@
 //! * natural vs min-fill tree decomposition for the Log rewriting.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use obda::budget::Budget;
 use obda::Strategy;
-use obda_bench::{dataset, paper_system, prefix_query};
-use obda_ndl::eval::{evaluate_on, EvalOptions};
+use obda::Telemetry;
+use obda_bench::{dataset, paper_engine, paper_system, prefix_query};
+use obda_ndl::engine::evaluate_engine_on_traced;
+use obda_ndl::eval::EvalResult;
+use obda_ndl::program::NdlQuery;
 use obda_ndl::skinny::to_skinny;
 use obda_ndl::storage::Database;
 use obda_rewrite::log::LogRewriter;
 use obda_rewrite::omq::{Omq, Rewriter};
 use std::hint::black_box;
+
+/// One unlimited run of the [`paper_engine`] (no pruning, one thread).
+fn evaluate_naive(query: &NdlQuery, db: &Database) -> EvalResult {
+    let mut budget = Budget::unlimited();
+    evaluate_engine_on_traced(query, db, &mut budget, &paper_engine(), Telemetry::disabled())
+        .expect("unlimited evaluation")
+}
 
 fn bench_splitting_strategies(c: &mut Criterion) {
     let sys = paper_system();
@@ -30,9 +41,7 @@ fn bench_splitting_strategies(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("{strategy}"), format!("n{n}")),
                 &rewriting,
-                |b, rw| {
-                    b.iter(|| black_box(evaluate_on(rw, &db, &EvalOptions::default()).unwrap()))
-                },
+                |b, rw| b.iter(|| black_box(evaluate_naive(rw, &db))),
             );
         }
     }
@@ -48,12 +57,8 @@ fn bench_skinny_on_off(c: &mut Criterion) {
     let skinny = to_skinny(&log);
     let mut group = c.benchmark_group("ablation_skinny");
     group.sample_size(10);
-    group.bench_function("log_plain", |b| {
-        b.iter(|| black_box(evaluate_on(&log, &db, &EvalOptions::default()).unwrap()))
-    });
-    group.bench_function("log_skinny", |b| {
-        b.iter(|| black_box(evaluate_on(&skinny, &db, &EvalOptions::default()).unwrap()))
-    });
+    group.bench_function("log_plain", |b| b.iter(|| black_box(evaluate_naive(&log, &db))));
+    group.bench_function("log_skinny", |b| b.iter(|| black_box(evaluate_naive(&skinny, &db))));
     group.finish();
 }
 

@@ -3,16 +3,27 @@
 //! head-to-head of the indexed join path against the seed hash-set engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use obda::budget::Budget;
 use obda::Strategy;
-use obda_bench::{dataset, paper_system, prefix_query};
+use obda::Telemetry;
+use obda_bench::{dataset, paper_engine, paper_system, prefix_query};
 use obda_chase::homomorphism::HomSearch;
 use obda_chase::model::{word_bound, CanonicalModel};
-use obda_ndl::eval::{evaluate_on, EvalOptions};
-use obda_ndl::linear_eval::evaluate_linear_on;
+use obda_ndl::engine::evaluate_engine_on_traced;
+use obda_ndl::eval::{EvalOptions, EvalResult};
+use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
+use obda_ndl::program::NdlQuery;
 use obda_ndl::reference::evaluate_reference;
 use obda_ndl::skinny::to_skinny;
 use obda_ndl::storage::Database;
 use std::hint::black_box;
+
+/// One unlimited run of the [`paper_engine`] (no pruning, one thread).
+fn evaluate_naive(query: &NdlQuery, db: &Database) -> EvalResult {
+    let mut budget = Budget::unlimited();
+    evaluate_engine_on_traced(query, db, &mut budget, &paper_engine(), Telemetry::disabled())
+        .expect("unlimited evaluation")
+}
 
 fn bench_saturation(c: &mut Criterion) {
     let sys = paper_system();
@@ -39,11 +50,11 @@ fn bench_evaluators(c: &mut Criterion) {
     let data = dataset(&sys, 1, 0.02);
     let db = Database::new(&data);
     let lin = sys.rewrite(&q, Strategy::Lin).unwrap();
-    c.bench_function("eval_bottom_up_lin", |b| {
-        b.iter(|| black_box(evaluate_on(&lin, &db, &EvalOptions::default()).unwrap()))
-    });
+    c.bench_function("eval_bottom_up_lin", |b| b.iter(|| black_box(evaluate_naive(&lin, &db))));
     c.bench_function("eval_linear_reachability", |b| {
-        b.iter(|| black_box(evaluate_linear_on(&lin, &db, &EvalOptions::default()).unwrap()))
+        b.iter(|| {
+            black_box(evaluate_linear_on_budgeted(&lin, &db, &mut Budget::unlimited()).unwrap())
+        })
     });
 }
 
@@ -57,9 +68,7 @@ fn bench_storage_substrate(c: &mut Criterion) {
     let db = Database::new(&data);
     let tw = sys.rewrite(&q, Strategy::Tw).unwrap();
     let mut group = c.benchmark_group("storage_substrate_seq2");
-    group.bench_function("indexed_database", |b| {
-        b.iter(|| black_box(evaluate_on(&tw, &db, &EvalOptions::default()).unwrap()))
-    });
+    group.bench_function("indexed_database", |b| b.iter(|| black_box(evaluate_naive(&tw, &db))));
     group.bench_function("hashset_reference", |b| {
         b.iter(|| black_box(evaluate_reference(&tw, &data, &EvalOptions::default()).unwrap()))
     });

@@ -3,10 +3,21 @@
 //! pair on dataset 2; the full sweep is produced by `experiments table3..5`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use obda_bench::{dataset, paper_system, prefix_query, EVAL_STRATEGIES};
-use obda_ndl::eval::{evaluate_on, EvalOptions};
+use obda::budget::Budget;
+use obda::Telemetry;
+use obda_bench::{dataset, paper_engine, paper_system, prefix_query, EVAL_STRATEGIES};
+use obda_ndl::engine::evaluate_engine_on_traced;
+use obda_ndl::eval::EvalResult;
+use obda_ndl::program::NdlQuery;
 use obda_ndl::storage::Database;
 use std::hint::black_box;
+
+/// One unlimited run of the [`paper_engine`] (no pruning, one thread).
+fn evaluate_naive(query: &NdlQuery, db: &Database) -> EvalResult {
+    let mut budget = Budget::unlimited();
+    evaluate_engine_on_traced(query, db, &mut budget, &paper_engine(), Telemetry::disabled())
+        .expect("unlimited evaluation")
+}
 
 fn bench_evaluation(c: &mut Criterion) {
     let sys = paper_system();
@@ -21,11 +32,7 @@ fn bench_evaluation(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("{strategy}"), format!("n{n}")),
                 &rewriting,
-                |b, rw| {
-                    b.iter(|| {
-                        black_box(evaluate_on(black_box(rw), &db, &EvalOptions::default()).unwrap())
-                    })
-                },
+                |b, rw| b.iter(|| black_box(evaluate_naive(black_box(rw), &db))),
             );
         }
     }

@@ -14,9 +14,10 @@
 //! * `table2` — the generated datasets (scaled by `--scale`);
 //! * `table3/4/5` — evaluation time / #answers / #generated-tuples per
 //!   algorithm per dataset for sequences 1/2/3;
-//! * `bencheval` — the engine comparison: sequential indexed engine vs the
-//!   goal-directed engine (pruned, 1 thread) vs the parallel engine
-//!   (pruned, `--threads` workers) over the Table 2 datasets, written as
+//! * `bencheval` — the engine comparison: the sequential engine (no
+//!   pruning, 1 thread — the configuration of Tables 3–5) vs the pruned
+//!   engine (1 thread) vs the parallel engine (pruned, `--threads`
+//!   workers) over the Table 2 datasets, written as
 //!   JSON to `BENCH_eval.json` in the current directory, with every row
 //!   cross-checked against the budgeted chase oracle;
 //! * `benchguard` — re-measures the `BENCH_eval.json` cells on the current
@@ -68,8 +69,8 @@ use obda::budget::BudgetSpec;
 use obda::telemetry::{CollectingTracer, Telemetry};
 use obda::Strategy;
 use obda_bench::{
-    dataset, dataset_configs, evaluate_cell, paper_system, prefix_query, render_table,
-    rewriting_clauses, EVAL_STRATEGIES, FIG2_STRATEGIES,
+    dataset, dataset_configs, evaluate_cell, paper_engine, paper_system, prefix_query,
+    render_table, rewriting_clauses, EVAL_STRATEGIES, FIG2_STRATEGIES,
 };
 use obda_datagen::sequences::SEQUENCES;
 use obda_ndl::engine::EngineConfig;
@@ -1141,8 +1142,7 @@ fn benchguard(cfg: &Config) {
         let Ok(prepared) = sys.prepare(&q, strategy) else {
             continue;
         };
-        let Some((secs, res)) =
-            time_engine(&mut || prepared.execute_engine(&db, &opts, &pruned_cfg).ok())
+        let Some((secs, res)) = time_engine(&mut || run_engine(&prepared, &db, &opts, &pruned_cfg))
         else {
             failures += 1;
             rows.push(vec![
@@ -1184,6 +1184,17 @@ fn benchguard(cfg: &Config) {
         "benchguard: ok — {} cells, worst time ratio {worst_ratio:.2}x, all tuple counts match",
         rows.len()
     );
+}
+
+/// One untraced engine run of `prepared` under `opts`; `None` when it
+/// tripped its budget.
+fn run_engine(
+    prepared: &obda::PreparedOmq,
+    db: &Database,
+    opts: &EvalOptions,
+    engine: &EngineConfig,
+) -> Option<EvalResult> {
+    prepared.execute_engine_budgeted(db, &mut opts.to_budget(), engine).ok()
 }
 
 /// One engine measurement: best-of-3 wall clock plus the result stats.
@@ -1255,7 +1266,7 @@ fn trace_breakdown(
             "eval" => b.eval_ms += ms,
             "stratum-schedule" => b.schedule_ms += ms,
             "stratum" => b.strata_ms += ms,
-            "clause" | "clause_task" => b.clause_tasks_ms += ms,
+            "clause_task" => b.clause_tasks_ms += ms,
             _ => {}
         }
     }
@@ -1296,10 +1307,8 @@ fn benchjoin(cfg: &Config) {
             let Ok(prepared) = sys.prepare(&q, strategy) else {
                 continue;
             };
-            let planned =
-                time_engine(&mut || prepared.execute_engine(&db, &opts, &planned_cfg).ok());
-            let syntactic =
-                time_engine(&mut || prepared.execute_engine(&db, &opts, &syntactic_cfg).ok());
+            let planned = time_engine(&mut || run_engine(&prepared, &db, &opts, &planned_cfg));
+            let syntactic = time_engine(&mut || run_engine(&prepared, &db, &opts, &syntactic_cfg));
             let (Some((plan_secs, plan_res)), Some((syn_secs, syn_res))) = (&planned, &syntactic)
             else {
                 continue;
@@ -1394,8 +1403,9 @@ fn benchjoin(cfg: &Config) {
 
 /// The engine-comparison benchmark behind `BENCH_eval.json`: for each
 /// Table 2 dataset and a spread of (sequence, strategy) rewritings,
-/// measures the sequential indexed engine against the goal-directed engine
-/// with pruning only (1 thread) and with pruning + `--threads` workers,
+/// measures the sequential engine (no pruning, 1 thread: the
+/// [`paper_engine`] of Tables 3–5) against the engine with pruning only
+/// (1 thread) and with pruning + `--threads` workers,
 /// checking all three against the budgeted chase oracle. Each row also
 /// records a per-stage breakdown (schedule/strata/clause-task times) from
 /// one traced pruned-engine run; the full span trees go to
@@ -1413,6 +1423,7 @@ fn bencheval(cfg: &Config) {
         (1, 5, Strategy::PrestoLike),
     ];
     let opts = EvalOptions { timeout: Some(cfg.timeout), ..EvalOptions::default() };
+    let sequential_cfg = paper_engine();
     let pruned_cfg = EngineConfig { threads: 1, ..EngineConfig::default() };
     let parallel_cfg = EngineConfig { threads: cfg.threads, ..EngineConfig::default() };
     let mut rows_json: Vec<String> = Vec::new();
@@ -1429,11 +1440,9 @@ fn bencheval(cfg: &Config) {
             let Ok(prepared) = sys.prepare(&q, strategy) else {
                 continue;
             };
-            let seq_run = time_engine(&mut || prepared.execute(&db, &opts).ok());
-            let pruned_run =
-                time_engine(&mut || prepared.execute_engine(&db, &opts, &pruned_cfg).ok());
-            let par_run =
-                time_engine(&mut || prepared.execute_engine(&db, &opts, &parallel_cfg).ok());
+            let seq_run = time_engine(&mut || run_engine(&prepared, &db, &opts, &sequential_cfg));
+            let pruned_run = time_engine(&mut || run_engine(&prepared, &db, &opts, &pruned_cfg));
+            let par_run = time_engine(&mut || run_engine(&prepared, &db, &opts, &parallel_cfg));
             // The goal-directed runs are the subject of the benchmark; a
             // sequential timeout is recorded, not skipped.
             let (Some((pruned_secs, pruned_res)), Some((par_secs, par_res))) =
@@ -1518,7 +1527,7 @@ fn bencheval(cfg: &Config) {
     .to_vec();
     println!("{}", render_table(&header, &table_rows));
     let json = format!(
-        "{{\n  \"config\": {{\"scale\": {}, \"threads\": {}, \"timeout_secs\": {}, \"runs_per_engine\": 3}},\n  \"engines\": {{\n    \"sequential\": \"indexed bottom-up engine, no pruning, 1 thread\",\n    \"pruned\": \"goal-directed engine, relevance pruning, 1 thread\",\n    \"parallel\": \"goal-directed engine, relevance pruning, shared-budget worker pool\"\n  }},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"config\": {{\"scale\": {}, \"threads\": {}, \"timeout_secs\": {}, \"runs_per_engine\": 3}},\n  \"engines\": {{\n    \"sequential\": \"engine, no pruning, 1 thread (the Tables 3-5 configuration)\",\n    \"pruned\": \"engine, relevance pruning, 1 thread\",\n    \"parallel\": \"engine, relevance pruning, shared-budget worker pool\"\n  }},\n  \"rows\": [\n{}\n  ]\n}}\n",
         cfg.scale,
         cfg.threads,
         cfg.timeout.as_secs(),

@@ -104,10 +104,18 @@ pub fn rewriting_clauses(system: &ObdaSystem, query: &Cq, strategy: Strategy) ->
     system.rewrite_complete(query, strategy).ok().map(|rw| rw.program.num_clauses())
 }
 
+/// The engine configuration of the paper's evaluation experiments: no
+/// relevance pruning, one thread. It materialises every goal-reachable
+/// predicate of the rewriting as written — the naive, RDFox-style
+/// evaluator whose generated-tuple counts Tables 3–5 compare.
+pub fn paper_engine() -> EngineConfig {
+    EngineConfig { threads: 1, prune: false, ..EngineConfig::default() }
+}
+
 /// Rewrites (over arbitrary instances) and evaluates with limits over a
-/// pre-built [`Database`], measuring wall-clock evaluation time. The
-/// database is built once per dataset by the caller and shared across every
-/// strategy and query size.
+/// pre-built [`Database`] on the [`paper_engine`], measuring wall-clock
+/// evaluation time. The database is built once per dataset by the caller
+/// and shared across every strategy and query size.
 pub fn evaluate_cell(
     system: &ObdaSystem,
     query: &Cq,
@@ -116,13 +124,11 @@ pub fn evaluate_cell(
     timeout: Duration,
     max_tuples: usize,
 ) -> EvalCell {
-    evaluate_cell_with(system, query, db, strategy, timeout, max_tuples, None)
+    evaluate_cell_with(system, query, db, strategy, timeout, max_tuples, &paper_engine())
 }
 
-/// [`evaluate_cell`] with an optional [`EngineConfig`]: `Some(cfg)` routes
-/// evaluation through the parallel, goal-directed engine (pruning and
-/// worker threads per `cfg`, all workers drawing on the cell's shared
-/// budget); `None` keeps the sequential indexed engine the tables use.
+/// [`evaluate_cell`] on the engine configured by `engine` (pruning and
+/// worker threads; all workers draw on the cell's shared budget).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_cell_with(
     system: &ObdaSystem,
@@ -131,7 +137,7 @@ pub fn evaluate_cell_with(
     strategy: Strategy,
     timeout: Duration,
     max_tuples: usize,
-    engine: Option<&EngineConfig>,
+    engine: &EngineConfig,
 ) -> EvalCell {
     // One budget covers the whole cell: a rewriter that blows up is recorded
     // as `rw>budget` instead of hanging the table run.
@@ -161,11 +167,7 @@ pub fn evaluate_cell_with(
     };
     let clauses = Some(prepared.num_clauses());
     let start = Instant::now();
-    let run = match engine {
-        Some(cfg) => prepared.execute_engine_budgeted(db, &mut budget, cfg),
-        None => prepared.execute_budgeted(db, &mut budget),
-    };
-    match run {
+    match prepared.execute_engine_budgeted(db, &mut budget, engine) {
         Ok(res) => EvalCell {
             time: start.elapsed(),
             answers: Some(res.stats.num_answers),
@@ -286,7 +288,7 @@ mod tests {
                 Strategy::Tw,
                 Duration::from_secs(20),
                 10_000_000,
-                Some(&cfg),
+                &cfg,
             );
             assert_eq!(cell.outcome, CellOutcome::Completed);
             assert_eq!(cell.answers, seq.answers);

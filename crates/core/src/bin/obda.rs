@@ -186,7 +186,8 @@ fn print_help() {
         "\ncommands:\n\
          \x20 classify   place the OMQ in the Figure 1 complexity landscape\n\
          \x20 rewrite    print the NDL rewriting for a strategy\n\
-         \x20 explain    classification, rewriting, pruned program, stratum plan\n\
+         \x20 explain    classification, rewriting, pruned program, stratum plan; with\n\
+         \x20            --data/--db the plan is costed and executed once on the engine\n\
          \x20 answer     rewrite and evaluate over --data or a --db snapshot\n\
          \x20 build      compile a data file into a dictionary-encoded .obdb snapshot\n\
          \x20 dbinfo     print a snapshot's header, flags, layout and row counts\n\
@@ -721,7 +722,8 @@ impl AnswerData {
 /// engine's stratum schedule with per-clause join plans. Without data
 /// the plan is syntactic; with `--data` or `--db` the cost-based plan
 /// is shown with estimated *and* actual per-atom cardinalities (the
-/// query is executed once, on the sequential engine).
+/// pruned query is executed once on the engine, along that plan, on one
+/// thread).
 fn run_explain(
     args: &Args,
     system: &ObdaSystem,
@@ -758,7 +760,7 @@ fn run_explain(
     print!("{}", ProgramDisplay { program: &pruned.query.program });
 
     // With data on hand the planner can cost the joins against real
-    // relation statistics, and one sequential execution annotates every
+    // relation statistics, and one single-thread execution annotates every
     // step with the cardinality it actually produced. Without data the
     // schedule falls back to the syntactic join order.
     let backend: Option<Box<dyn StorageBackend>> = if let Some(db) = &args.db {

@@ -9,12 +9,9 @@ use obda_ndl::analysis::{analyze, Analysis};
 use obda_ndl::engine::{
     evaluate_engine_on_traced, evaluate_pruned_planned_on_traced, EngineConfig,
 };
-use obda_ndl::eval::{
-    evaluate, evaluate_on, evaluate_on_budgeted, evaluate_on_traced, EvalError, EvalOptions,
-    EvalResult,
-};
+use obda_ndl::eval::{EvalError, EvalResult};
 use obda_ndl::explain::{explain_plan_with, PlanExplanation};
-use obda_ndl::linear_eval::{evaluate_linear_on, evaluate_linear_on_budgeted};
+use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::planner::{plan_query, QueryPlan};
 use obda_ndl::program::NdlQuery;
 use obda_ndl::relevance::{prune_for_goal, PruneStats, PrunedQuery};
@@ -761,72 +758,32 @@ impl ObdaSystem {
         Ok(starred)
     }
 
-    /// Answers the OMQ over a data instance by rewriting and evaluating.
+    /// Answers the OMQ over a data instance by rewriting and evaluating
+    /// with the default [`EngineConfig`], without limits.
     pub fn answer(
         &self,
         query: &Cq,
         data: &DataInstance,
         strategy: Strategy,
     ) -> Result<EvalResult, ObdaError> {
-        self.answer_with_options(query, data, strategy, &EvalOptions::default())
-    }
-
-    /// [`ObdaSystem::answer`] with explicit evaluation limits.
-    pub fn answer_with_options(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        strategy: Strategy,
-        options: &EvalOptions,
-    ) -> Result<EvalResult, ObdaError> {
-        let rewriting = self.rewrite(query, strategy)?;
-        Ok(evaluate(&rewriting, data, options)?)
-    }
-
-    /// Answers the OMQ under a unified resource budget covering *both* the
-    /// rewriting and the evaluation stage. A trip in either stage surfaces
-    /// as a typed [`ObdaError`] carrying partial statistics.
-    pub fn answer_with_budget(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        strategy: Strategy,
-        spec: &BudgetSpec,
-    ) -> Result<EvalResult, ObdaError> {
-        isolate("pipeline::answer_with_budget", || {
-            let mut budget = spec.start();
-            let rewriting = self.rewrite_budgeted(query, strategy, &mut budget)?;
-            let db = Database::new(data);
-            Ok(evaluate_on_budgeted(&rewriting, &db, &mut budget)?)
-        })
-    }
-
-    /// [`ObdaSystem::answer_with_budget`] evaluated by the parallel,
-    /// goal-directed engine configured by `cfg` (relevance pruning and
-    /// worker threads). The same unified budget covers rewriting and
-    /// evaluation; with several workers the budget is shared across all of
-    /// them, so a deadline or cap trips the whole pool with one typed
-    /// error.
-    pub fn answer_with_budget_engine(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        strategy: Strategy,
-        spec: &BudgetSpec,
-        cfg: &EngineConfig,
-    ) -> Result<EvalResult, ObdaError> {
         self.answer_with_budget_engine_traced(
             query,
             data,
             strategy,
-            spec,
-            cfg,
+            &BudgetSpec::unlimited(),
+            &EngineConfig::default(),
             Telemetry::disabled(),
         )
     }
 
-    /// Like [`ObdaSystem::answer_with_budget_engine`], recording `rewrite`,
-    /// `load_data` and engine spans through `telem`.
+    /// Answers the OMQ under a unified resource budget covering *both* the
+    /// rewriting and the evaluation stage, evaluated by the engine
+    /// configured by `cfg` (relevance pruning and worker threads), and
+    /// recording `rewrite`, `load_data` and engine spans through `telem`.
+    /// A trip in either stage surfaces as a typed [`ObdaError`] carrying
+    /// partial statistics; with several workers the budget is shared
+    /// across all of them, so a deadline or cap trips the whole pool with
+    /// one typed error.
     pub fn answer_with_budget_engine_traced(
         &self,
         query: &Cq,
@@ -904,7 +861,7 @@ impl ObdaSystem {
     /// gets fresh counters but the *same* absolute wall-clock deadline,
     /// so the whole run respects the spec's timeout. Always terminates;
     /// the report lists every attempt (retries included) and the winner,
-    /// if any.
+    /// if any. Evaluation runs on the default [`EngineConfig`].
     pub fn answer_with_fallback(
         &self,
         query: &Cq,
@@ -917,67 +874,27 @@ impl ObdaSystem {
             DataSource::Parse(data),
             preferred,
             spec,
-            None,
+            &EngineConfig::default(),
             &RetryPolicy::default(),
             Telemetry::disabled(),
         )
     }
 
-    /// [`ObdaSystem::answer_with_fallback`] with every evaluation stage run
-    /// by the parallel, goal-directed engine configured by `cfg`.
-    pub fn answer_with_fallback_engine(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        cfg: &EngineConfig,
-    ) -> PipelineReport {
-        self.fallback_ladder_run(
-            query,
-            DataSource::Parse(data),
-            preferred,
-            spec,
-            Some(cfg),
-            &RetryPolicy::default(),
-            Telemetry::disabled(),
-        )
-    }
-
-    /// [`ObdaSystem::answer_with_fallback`] with full control: an optional
-    /// engine configuration and an explicit transient-fault [`RetryPolicy`].
-    pub fn answer_with_fallback_policy(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
-        retry: &RetryPolicy,
-    ) -> PipelineReport {
-        self.answer_with_fallback_traced(
-            query,
-            data,
-            preferred,
-            spec,
-            engine,
-            retry,
-            Telemetry::disabled(),
-        )
-    }
-
-    /// [`ObdaSystem::answer_with_fallback_policy`] recording per-attempt
-    /// spans through `telem`: each ladder try gets an `attempt` span
-    /// (strategy and retry number attached, error-tagged on failure) whose
-    /// children are the stage spans of rewriting and evaluation.
-    #[allow(clippy::too_many_arguments)] // the traced superset of the policy facade
+    /// [`ObdaSystem::answer_with_fallback`] with full control: the engine
+    /// configuration, an explicit transient-fault [`RetryPolicy`], and
+    /// per-attempt spans recorded through `telem` (pass
+    /// [`Telemetry::disabled`] for none): each ladder try gets an
+    /// `attempt` span (strategy and retry number attached, error-tagged on
+    /// failure) whose children are the stage spans of rewriting and
+    /// evaluation.
+    #[allow(clippy::too_many_arguments)] // the full-control superset of the facade
     pub fn answer_with_fallback_traced(
         &self,
         query: &Cq,
         data: &DataInstance,
         preferred: Strategy,
         spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
+        engine: &EngineConfig,
         retry: &RetryPolicy,
         telem: Telemetry<'_>,
     ) -> PipelineReport {
@@ -1009,33 +926,9 @@ impl ObdaSystem {
             DataSource::Backend(backend),
             preferred,
             spec,
-            None,
+            &EngineConfig::default(),
             &RetryPolicy::default(),
             Telemetry::disabled(),
-        )
-    }
-
-    /// [`ObdaSystem::answer_with_fallback_backend`] with full control:
-    /// optional engine configuration, retry policy, and telemetry.
-    #[allow(clippy::too_many_arguments)] // the traced superset of the backend facade
-    pub fn answer_with_fallback_backend_traced(
-        &self,
-        query: &Cq,
-        backend: &dyn StorageBackend,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
-        retry: &RetryPolicy,
-        telem: Telemetry<'_>,
-    ) -> PipelineReport {
-        self.fallback_ladder_run(
-            query,
-            DataSource::Backend(backend),
-            preferred,
-            spec,
-            engine,
-            retry,
-            telem,
         )
     }
 
@@ -1048,7 +941,7 @@ impl ObdaSystem {
         db: &Database,
         strategy: Strategy,
         budget: &mut Budget,
-        engine: Option<&EngineConfig>,
+        engine: &EngineConfig,
         telem: Telemetry<'_>,
     ) -> (AttemptOutcome, Option<usize>) {
         let mut clauses = None;
@@ -1068,11 +961,7 @@ impl ObdaSystem {
                     }
                 };
                 *clauses = Some(rewriting.program.num_clauses());
-                let eval = match engine {
-                    Some(cfg) => evaluate_engine_on_traced(&rewriting, db, budget, cfg, telem),
-                    None => evaluate_on_traced(&rewriting, db, budget, telem),
-                };
-                Ok(eval?)
+                Ok(evaluate_engine_on_traced(&rewriting, db, budget, engine, telem)?)
             })
         };
         let outcome = match result {
@@ -1103,7 +992,7 @@ impl ObdaSystem {
         source: DataSource<'_>,
         preferred: Strategy,
         spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
+        engine: &EngineConfig,
         retry: &RetryPolicy,
         telem: Telemetry<'_>,
     ) -> PipelineReport {
@@ -1122,7 +1011,7 @@ impl ObdaSystem {
         source: DataSource<'_>,
         preferred: Strategy,
         spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
+        engine: &EngineConfig,
         retry: &RetryPolicy,
         telem: Telemetry<'_>,
         gate: Option<&dyn StrategyGate>,
@@ -1318,7 +1207,7 @@ impl ObdaSystem {
 
     /// Budgeted [`ObdaSystem::prepare`]: the rewriting stage draws on the
     /// budget; the prepared query can then be executed with
-    /// [`PreparedOmq::execute_budgeted`] against the same (renewed) budget.
+    /// [`PreparedOmq::execute_engine_budgeted`] against the same budget.
     pub fn prepare_budgeted(
         &self,
         query: &Cq,
@@ -1414,22 +1303,6 @@ impl PreparedOmq {
         self.rewriting.program.num_clauses()
     }
 
-    /// Evaluates the cached rewriting over a pre-built [`Database`] with
-    /// the bottom-up materialising engine.
-    pub fn execute(&self, db: &Database, opts: &EvalOptions) -> Result<EvalResult, EvalError> {
-        evaluate_on(&self.rewriting, db, opts)
-    }
-
-    /// [`PreparedOmq::execute`] drawing on a shared [`Budget`] instead of
-    /// per-call [`EvalOptions`].
-    pub fn execute_budgeted(
-        &self,
-        db: &Database,
-        budget: &mut Budget,
-    ) -> Result<EvalResult, EvalError> {
-        evaluate_on_budgeted(&self.rewriting, db, budget)
-    }
-
     /// The goal-directed pruning of the cached rewriting, computed on
     /// first use and cached for the lifetime of the prepared query.
     pub fn pruned(&self) -> &PrunedQuery {
@@ -1475,21 +1348,12 @@ impl PreparedOmq {
         explain_plan_with(&self.pruned().query, &self.query_plan(db))
     }
 
-    /// Evaluates with the parallel, goal-directed engine. When
-    /// `cfg.prune` is set the pruning pass runs once per prepared query
-    /// (cached), not once per execution; per-predicate statistics are
-    /// reported against the *original* rewriting's predicate ids either
-    /// way.
-    pub fn execute_engine(
-        &self,
-        db: &Database,
-        opts: &EvalOptions,
-        cfg: &EngineConfig,
-    ) -> Result<EvalResult, EvalError> {
-        self.execute_engine_budgeted(db, &mut opts.to_budget(), cfg)
-    }
-
-    /// [`PreparedOmq::execute_engine`] drawing on a shared [`Budget`].
+    /// Evaluates the cached rewriting over a pre-built [`Database`] with
+    /// the engine configured by `cfg`, drawing on a shared [`Budget`].
+    /// When `cfg.prune` is set the pruning pass runs once per prepared
+    /// query (cached), not once per execution, and so does the cost-based
+    /// plan per database; per-predicate statistics are reported against
+    /// the *original* rewriting's predicate ids either way.
     pub fn execute_engine_budgeted(
         &self,
         db: &Database,
@@ -1525,16 +1389,8 @@ impl PreparedOmq {
     }
 
     /// Evaluates with Theorem 2's reachability engine (the rewriting must
-    /// be linear — see [`PreparedOmq::analysis`]).
-    pub fn execute_linear(
-        &self,
-        db: &Database,
-        opts: &EvalOptions,
-    ) -> Result<EvalResult, EvalError> {
-        evaluate_linear_on(&self.rewriting, db, opts)
-    }
-
-    /// [`PreparedOmq::execute_linear`] drawing on a shared [`Budget`].
+    /// be linear — see [`PreparedOmq::analysis`]), drawing on a shared
+    /// [`Budget`].
     pub fn execute_linear_budgeted(
         &self,
         db: &Database,
@@ -1544,16 +1400,17 @@ impl PreparedOmq {
     }
 
     /// Validates the rewriting against the chase oracle on one data
-    /// instance: evaluates over `db` (which must be built from `data`) and
-    /// compares with the certain answers. Returns the evaluation result on
-    /// agreement.
+    /// instance: evaluates over `db` (which must be built from `data`) with
+    /// the default [`EngineConfig`] and compares with the certain answers.
+    /// Returns the evaluation result on agreement.
     pub fn validate_against_oracle(
         &self,
         system: &ObdaSystem,
         data: &DataInstance,
         db: &Database,
     ) -> Result<EvalResult, ObdaError> {
-        let res = self.execute(db, &EvalOptions::default())?;
+        let res =
+            self.execute_engine_budgeted(db, &mut Budget::unlimited(), &EngineConfig::default())?;
         let oracle = system.certain_answers(&self.query, data).tuples();
         if res.answers != oracle {
             return Err(ObdaError::Eval(EvalError::Unsafe(format!(
@@ -1629,12 +1486,15 @@ mod tests {
             assert_eq!(prepared.goal_arity(), 2);
             assert!(prepared.num_clauses() > 0);
             assert!(prepared.analysis().nonrecursive);
-            let res = prepared.execute(&db, &EvalOptions::default()).unwrap();
+            let sequential = EngineConfig { threads: 1, prune: false, ..EngineConfig::default() };
+            let res = prepared
+                .execute_engine_budgeted(&db, &mut Budget::unlimited(), &sequential)
+                .unwrap();
             assert_eq!(res.answers, oracle, "strategy {strategy}");
             // Linear rewritings also run on Theorem 2's engine, over the
             // very same database.
             if prepared.analysis().linear {
-                let lin = prepared.execute_linear(&db, &EvalOptions::default()).unwrap();
+                let lin = prepared.execute_linear_budgeted(&db, &mut Budget::unlimited()).unwrap();
                 assert_eq!(lin.answers, oracle, "linear strategy {strategy}");
             }
         }
@@ -1664,7 +1524,8 @@ mod tests {
         let cfg = EngineConfig::default();
         let oracle = sys.certain_answers(&q, &d).tuples();
         for _ in 0..3 {
-            let res = prepared.execute_engine(&db, &EvalOptions::default(), &cfg).unwrap();
+            let res =
+                prepared.execute_engine_budgeted(&db, &mut Budget::unlimited(), &cfg).unwrap();
             assert_eq!(res.answers, oracle);
         }
         assert_eq!(prepared.plans_built(), 1, "same database reuses the cached plan");
@@ -1672,9 +1533,9 @@ mod tests {
         // A different database (even over the same instance) gets its own
         // plan — stats are a property of the database, not the query.
         let db2 = Database::new(&d);
-        prepared.execute_engine(&db2, &EvalOptions::default(), &cfg).unwrap();
+        prepared.execute_engine_budgeted(&db2, &mut Budget::unlimited(), &cfg).unwrap();
         assert_eq!(prepared.plans_built(), 2);
-        prepared.execute_engine(&db, &EvalOptions::default(), &cfg).unwrap();
+        prepared.execute_engine_budgeted(&db, &mut Budget::unlimited(), &cfg).unwrap();
         assert_eq!(prepared.plans_built(), 2, "older entry still cached");
 
         // The explanation is built from the same cached plan.
@@ -1690,7 +1551,7 @@ mod tests {
         // Disabling planning skips the cache entirely.
         let fresh = sys.prepare(&q, Strategy::Tw).unwrap();
         let noplan = EngineConfig { plan: false, ..EngineConfig::default() };
-        let res = fresh.execute_engine(&db, &EvalOptions::default(), &noplan).unwrap();
+        let res = fresh.execute_engine_budgeted(&db, &mut Budget::unlimited(), &noplan).unwrap();
         assert_eq!(res.answers, oracle);
         assert_eq!(fresh.plans_built(), 0);
     }
@@ -1707,14 +1568,29 @@ mod tests {
             for threads in [1, 4] {
                 for prune in [false, true] {
                     let cfg = EngineConfig { threads, prune, ..EngineConfig::default() };
-                    let res = sys.answer_with_budget_engine(&q, &d, strategy, &spec, &cfg).unwrap();
+                    let res = sys
+                        .answer_with_budget_engine_traced(
+                            &q,
+                            &d,
+                            strategy,
+                            &spec,
+                            &cfg,
+                            Telemetry::disabled(),
+                        )
+                        .unwrap();
                     assert_eq!(res.answers, oracle, "{strategy} t={threads} prune={prune}");
                     let prepared = sys.prepare(&q, strategy).unwrap();
-                    let pre = prepared.execute_engine(&db, &EvalOptions::default(), &cfg).unwrap();
+                    let pre = prepared
+                        .execute_engine_budgeted(&db, &mut Budget::unlimited(), &cfg)
+                        .unwrap();
                     assert_eq!(pre.answers, oracle, "{strategy} prepared");
                     // Pruning never *increases* work, and stats stay
                     // indexed by the original rewriting's predicates.
-                    let plain = prepared.execute(&db, &EvalOptions::default()).unwrap();
+                    let sequential =
+                        EngineConfig { threads: 1, prune: false, ..EngineConfig::default() };
+                    let plain = prepared
+                        .execute_engine_budgeted(&db, &mut Budget::unlimited(), &sequential)
+                        .unwrap();
                     assert!(pre.stats.generated_tuples <= plain.stats.generated_tuples);
                     assert_eq!(
                         pre.stats.per_predicate.len(),
@@ -1745,7 +1621,15 @@ mod tests {
         let spec = BudgetSpec::default();
         let plain = sys.answer_with_fallback(&q, &d, Strategy::Tw, &spec);
         let cfg = EngineConfig { threads: 2, prune: true, ..EngineConfig::default() };
-        let engine = sys.answer_with_fallback_engine(&q, &d, Strategy::Tw, &spec, &cfg);
+        let engine = sys.answer_with_fallback_traced(
+            &q,
+            &d,
+            Strategy::Tw,
+            &spec,
+            &cfg,
+            &RetryPolicy::default(),
+            Telemetry::disabled(),
+        );
         assert_eq!(plain.winning_strategy(), engine.winning_strategy());
         assert_eq!(
             plain.result().map(|r| r.answers.clone()),

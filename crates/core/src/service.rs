@@ -160,8 +160,9 @@ pub struct ServiceConfig {
     pub budget: BudgetSpec,
     /// Transient-fault retry policy for the fallback ladder.
     pub retry: RetryPolicy,
-    /// Engine configuration for evaluation stages; `None` runs the
-    /// sequential evaluator.
+    /// Engine configuration for evaluation stages, on the fallback ladder
+    /// and the prepared path alike; `None` means
+    /// [`EngineConfig::default`].
     pub engine: Option<EngineConfig>,
     /// Adaptive overload control (breakers, cost admission, brownout,
     /// watchdog); everything off by default.
@@ -664,6 +665,8 @@ impl StrategyGate for LadderGate<'_> {
 pub struct QueryService {
     system: ObdaSystem,
     cfg: ServiceConfig,
+    /// `cfg.engine`, resolved once.
+    engine: EngineConfig,
     gate: Gate,
     prepared: RwLock<Vec<Arc<PreparedOmq>>>,
     succeeded: AtomicU64,
@@ -681,6 +684,7 @@ impl QueryService {
         let overload = OverloadState::new(&cfg.overload);
         QueryService {
             system,
+            engine: cfg.engine.clone().unwrap_or_default(),
             cfg,
             gate: Gate::new(),
             prepared: RwLock::new(Vec::new()),
@@ -742,21 +746,8 @@ impl QueryService {
     /// strategy. Returns [`ObdaError::Overloaded`] without running
     /// anything when the gate refuses admission.
     pub fn submit(&self, id: QueryId, data: &DataInstance) -> Result<ServiceReport, ObdaError> {
-        self.submit_traced(id, data, Telemetry::disabled())
-    }
-
-    /// [`QueryService::submit`] recording pipeline spans through `telem`.
-    pub fn submit_traced(
-        &self,
-        id: QueryId,
-        data: &DataInstance,
-        telem: Telemetry<'_>,
-    ) -> Result<ServiceReport, ObdaError> {
-        let omq = self.prepared(id).ok_or_else(|| ObdaError::Internal {
-            site: "service::submit".to_owned(),
-            payload: format!("unknown query id {}", id.0),
-        })?;
-        self.run(omq.query(), omq.strategy(), DataSource::Parse(data), telem)
+        let omq = self.registered(id)?;
+        self.run(omq.query(), omq.strategy(), DataSource::Parse(data), Telemetry::disabled())
     }
 
     /// [`QueryService::submit`] over a pre-loaded [`StorageBackend`]
@@ -767,22 +758,16 @@ impl QueryService {
         id: QueryId,
         backend: &dyn StorageBackend,
     ) -> Result<ServiceReport, ObdaError> {
-        self.submit_backend_traced(id, backend, Telemetry::disabled())
+        let omq = self.registered(id)?;
+        self.run(omq.query(), omq.strategy(), DataSource::Backend(backend), Telemetry::disabled())
     }
 
-    /// [`QueryService::submit_backend`] recording pipeline spans through
-    /// `telem`.
-    pub fn submit_backend_traced(
-        &self,
-        id: QueryId,
-        backend: &dyn StorageBackend,
-        telem: Telemetry<'_>,
-    ) -> Result<ServiceReport, ObdaError> {
-        let omq = self.prepared(id).ok_or_else(|| ObdaError::Internal {
+    /// The query registered under `id`, or a typed internal error.
+    fn registered(&self, id: QueryId) -> Result<Arc<PreparedOmq>, ObdaError> {
+        self.prepared(id).ok_or_else(|| ObdaError::Internal {
             site: "service::submit".to_owned(),
             payload: format!("unknown query id {}", id.0),
-        })?;
-        self.run(omq.query(), omq.strategy(), DataSource::Backend(backend), telem)
+        })
     }
 
     /// Executes an already-prepared OMQ over a pre-loaded backend under a
@@ -875,7 +860,6 @@ impl QueryService {
         };
         let budget_factor =
             self.overload.brownout.as_ref().map_or(1.0, |b| b.cfg.budget_factor.clamp(0.01, 1.0));
-        let engine = self.cfg.engine.clone().unwrap_or_default();
         let mut retries = 0u32;
         let mut backoff = self.cfg.retry.base_backoff;
         let outcome = loop {
@@ -900,7 +884,12 @@ impl QueryService {
                 if let Some((_guard, m)) = &meter {
                     budget = budget.with_meter(Arc::clone(m));
                 }
-                Ok(omq.execute_engine_traced(backend.database(), &mut budget, &engine, telem)?)
+                Ok(omq.execute_engine_traced(
+                    backend.database(),
+                    &mut budget,
+                    &self.engine,
+                    telem,
+                )?)
             });
             // A budget-class failure on a watchdog-cancelled meter is the
             // stall surfacing: convert it to the typed outcome.
@@ -1127,7 +1116,7 @@ impl QueryService {
                 source,
                 strategy,
                 &budget_spec,
-                self.cfg.engine.as_ref(),
+                &self.engine,
                 &self.cfg.retry,
                 telem,
                 ladder_gate.as_ref().map(|g| g as &dyn StrategyGate),

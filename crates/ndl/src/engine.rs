@@ -1,24 +1,36 @@
-//! Parallel, goal-directed bottom-up evaluation.
+//! Bottom-up evaluation of NDL queries: the workspace's one production
+//! evaluator.
 //!
-//! This engine layers three optimisations over the faithful
-//! materialising evaluator of [`crate::eval`]:
+//! The engine materialises every goal-reachable IDB predicate in
+//! dependency order, reporting answers and the total number of generated
+//! tuples, as the paper's Tables 3–5 do. Every clause runs through the
+//! shared join kernel of [`crate::eval`]. Three optional layers sit on
+//! top, each controlled by [`EngineConfig`]:
 //!
-//! 1. **Relevance pruning** ([`crate::relevance`]): the program is
-//!    rewritten goal-directedly before evaluation, eliminating renaming
+//! 1. **Relevance pruning** ([`crate::relevance`], `prune`): the program
+//!    is rewritten goal-directedly before evaluation, eliminating renaming
 //!    predicates, used-once views, copy clauses and dead columns, so
-//!    strictly fewer tuples are materialised.
-//! 2. **Stratum scheduling**: the topological order is partitioned into
-//!    *strata* — level sets of the longest-path layering of the
-//!    dependency DAG — whose predicates are mutually independent. All
-//!    clauses of a stratum, with large outer scans split into row-range
-//!    chunks, form a task queue drained by a scoped-thread worker pool
-//!    (`std::thread::scope`; no external dependencies). Clauses whose
-//!    body references an already-known-empty relation are skipped
-//!    without running their joins.
+//!    strictly fewer tuples are materialised. With `prune: false` the
+//!    engine is the naive materialising evaluator the paper attributes to
+//!    RDFox (no magic sets, no program optimisation), which is how the
+//!    Tables 3–5 experiments run it.
+//! 2. **Stratum scheduling** (`threads`): the topological order is
+//!    partitioned into *strata* — level sets of the longest-path layering
+//!    of the dependency DAG — whose predicates are mutually independent.
+//!    All clauses of a stratum, with large outer scans split into
+//!    row-range chunks, form a task queue drained by a scoped-thread
+//!    worker pool (`std::thread::scope`; no external dependencies). With
+//!    one thread the same tasks run inline. Clauses whose body references
+//!    an already-known-empty relation are skipped without running their
+//!    joins.
 //! 3. **Shared budgets** ([`obda_budget::SharedBudget`]): the pool
 //!    races one atomic allowance; the first deadline/step/tuple trip
-//!    poisons every worker, and the engine reports the same typed
-//!    [`EvalError`] taxonomy as the sequential evaluator.
+//!    poisons every worker, and the engine reports one typed
+//!    [`EvalError`] for the whole run.
+//!
+//! Before any join starts, the engine hydrates every EDB relation the
+//! program mentions, so a lazily opened snapshot faults its columns in
+//! once, up front, instead of inside the clause tasks.
 //!
 //! Concurrency model: relations of *completed* strata (and the EDB
 //! [`Database`]) are only read — their lazy `OnceLock` column indexes
@@ -32,10 +44,10 @@
 use crate::analysis::topological_order;
 use crate::eval::{
     error_stats, eval_clause_into, halt_from_panic, halt_to_error, reachable_from_goal, relation,
-    EvalError, EvalOptions, EvalResult, EvalStats, Halt, JoinCounters,
+    EvalError, EvalResult, EvalStats, Halt, JoinCounters,
 };
 use crate::planner::{plan_query, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan};
-use crate::program::{BodyAtom, Clause, NdlQuery, PredId, PredKind};
+use crate::program::{BodyAtom, Clause, NdlQuery, PredId, PredKind, Program};
 use crate::relevance::{prune_for_goal, PrunedQuery};
 use crate::storage::{Database, Relation};
 use obda_budget::{Budget, BudgetOps, SharedBudget, WorkerBudget};
@@ -46,13 +58,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-/// Tuning knobs for the parallel, goal-directed engine.
+/// Tuning knobs for the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads; `0` = one per available CPU, `1` = run the same
-    /// pruned, stratum-scheduled plan inline without spawning.
+    /// stratum-scheduled plan inline without spawning.
     pub threads: usize,
-    /// Run the [`crate::relevance`] pruning pass first.
+    /// Run the [`crate::relevance`] pruning pass first. `false`
+    /// materialises every goal-reachable predicate of the program as
+    /// written — the paper's naive evaluator.
     pub prune: bool,
     /// Minimum relation size before a clause's outer scan is split into
     /// per-worker row ranges. Tests lower this to exercise chunking on
@@ -85,35 +99,20 @@ impl EngineConfig {
     }
 }
 
-/// Evaluates `(Π, G)` over a pre-built [`Database`] with the parallel,
-/// goal-directed engine.
-pub fn evaluate_engine_on(
-    query: &NdlQuery,
-    db: &Database,
-    opts: &EvalOptions,
-    cfg: &EngineConfig,
-) -> Result<EvalResult, EvalError> {
-    evaluate_engine_on_budgeted(query, db, &mut opts.to_budget(), cfg)
-}
-
-/// Like [`evaluate_engine_on`], but drawing on a caller-supplied
-/// [`Budget`] shared with other pipeline stages.
-pub fn evaluate_engine_on_budgeted(
-    query: &NdlQuery,
-    db: &Database,
-    budget: &mut Budget,
-    cfg: &EngineConfig,
-) -> Result<EvalResult, EvalError> {
-    evaluate_engine_on_traced(query, db, budget, cfg, Telemetry::disabled())
-}
-
-/// Like [`evaluate_engine_on_budgeted`], recording spans and metrics
-/// through `telem`: a `prune` span (clause counts before/after), then an
-/// `eval` span whose children are `stratum-schedule`, per-stratum
-/// `stratum` spans and per-task `clause_task` spans with join counters.
-/// With a registry, the engine adds to the `ndl_tuples_generated`,
-/// `ndl_join_bindings_total`, `ndl_budget_ticks`,
-/// `engine_tasks_executed` and `engine_clauses_skipped` counters.
+/// Evaluates `(Π, G)` over a pre-built [`Database`], drawing on a
+/// caller-supplied [`Budget`] shared with other pipeline stages, and
+/// recording spans and metrics through `telem` (pass
+/// [`Telemetry::disabled`] for none): a `prune` span (clause counts
+/// before/after) when `cfg.prune` is set, a `hydrate` span when EDB
+/// relations had to be faulted in, then an `eval` span whose children are
+/// `stratum-schedule`, per-stratum `stratum` spans and per-task
+/// `clause_task` spans with join counters. With a registry, the engine
+/// adds to the `ndl_tuples_generated`, `ndl_join_bindings_total`,
+/// `ndl_budget_ticks`, `engine_tasks_executed` and
+/// `engine_clauses_skipped` counters.
+///
+/// The database is shared: EDB column indexes built here stay cached for
+/// later evaluations over the same data.
 pub fn evaluate_engine_on_traced(
     query: &NdlQuery,
     db: &Database,
@@ -129,42 +128,21 @@ pub fn evaluate_engine_on_traced(
         span.attr("preds_before", pruned.stats.preds_before as u64);
         span.attr("preds_after", pruned.stats.preds_after as u64);
         span.end();
-        evaluate_pruned_on_traced(&pruned, db, budget, cfg, telem)
+        evaluate_pruned_planned_on_traced(&pruned, db, budget, cfg, None, telem)
     } else {
-        run(query, None, query.program.num_preds(), db, budget, cfg, None, telem)
+        run(query, None, db, budget, cfg, None, telem, &mut SchedStats::default())
     }
 }
 
 /// Evaluates an already-pruned query (callers that cache the
-/// [`prune_for_goal`] result across executions, e.g. `PreparedOmq`).
+/// [`prune_for_goal`] result across executions, e.g. `PreparedOmq`),
+/// optionally reusing a [`QueryPlan`] computed earlier for the *pruned*
+/// program (such callers cache plans per database alongside the pruned
+/// query, amortising planning across repeated executions). With
+/// `qplan = None` the engine plans per [`EngineConfig::plan`].
+/// `cfg.prune` is not consulted: the query is already pruned.
 /// Statistics are reported against the *original* program's predicate
 /// ids via [`PrunedQuery::origin`].
-pub fn evaluate_pruned_on_budgeted(
-    pruned: &PrunedQuery,
-    db: &Database,
-    budget: &mut Budget,
-    cfg: &EngineConfig,
-) -> Result<EvalResult, EvalError> {
-    evaluate_pruned_on_traced(pruned, db, budget, cfg, Telemetry::disabled())
-}
-
-/// Like [`evaluate_pruned_on_budgeted`], recording spans and metrics
-/// through `telem`.
-pub fn evaluate_pruned_on_traced(
-    pruned: &PrunedQuery,
-    db: &Database,
-    budget: &mut Budget,
-    cfg: &EngineConfig,
-    telem: Telemetry<'_>,
-) -> Result<EvalResult, EvalError> {
-    evaluate_pruned_planned_on_traced(pruned, db, budget, cfg, None, telem)
-}
-
-/// Like [`evaluate_pruned_on_traced`], but optionally reusing a
-/// [`QueryPlan`] computed earlier for the *pruned* program (callers such
-/// as `PreparedOmq` cache plans per database alongside the pruned query,
-/// amortising planning across repeated executions). With `qplan = None`
-/// the engine plans per [`EngineConfig::plan`].
 pub fn evaluate_pruned_planned_on_traced(
     pruned: &PrunedQuery,
     db: &Database,
@@ -173,23 +151,71 @@ pub fn evaluate_pruned_planned_on_traced(
     qplan: Option<&QueryPlan>,
     telem: Telemetry<'_>,
 ) -> Result<EvalResult, EvalError> {
-    // Hydrate exactly the EDB relations the pruned program mentions, so a
-    // lazily loaded snapshot faults in only the columns this query joins
-    // (already-hydrated slots and parse-path databases cost nothing).
-    let program = &pruned.query.program;
-    let relevant = program
-        .pred_ids()
-        .map(|p| program.pred(p).kind)
-        .filter(|k| matches!(k, PredKind::EdbClass(_) | PredKind::EdbProp(_)));
-    let (relations, columns) = db.prefetch(relevant);
-    if relations > 0 {
-        let span = telem.span("hydrate");
-        span.attr("relations", relations);
-        span.attr("columns", columns);
-        span.end();
+    run(
+        &pruned.query,
+        Some(&pruned.origin),
+        db,
+        budget,
+        cfg,
+        qplan,
+        telem,
+        &mut SchedStats::default(),
+    )
+}
+
+/// Evaluates `query` unpruned on one thread along `qplan`, returning the
+/// per-clause [`JoinCounters`] (indexed by clause position, summed over
+/// a clause's tasks) next to the result. The costed `explain` uses this
+/// to print estimated vs. actual cardinalities from one real evaluation.
+pub(crate) fn evaluate_collecting(
+    query: &NdlQuery,
+    db: &Database,
+    budget: &mut Budget,
+    qplan: &QueryPlan,
+) -> Result<(EvalResult, Vec<JoinCounters>), EvalError> {
+    let cfg = EngineConfig { threads: 1, prune: false, ..EngineConfig::default() };
+    let per_clause = vec![JoinCounters::default(); query.program.clauses().len()];
+    let mut sched = SchedStats {
+        joins: JoinTally { per_clause: Some(Mutex::new(per_clause)), ..JoinTally::default() },
+        ..SchedStats::default()
+    };
+    let res = run(query, None, db, budget, &cfg, Some(qplan), Telemetry::disabled(), &mut sched)?;
+    let per_clause = sched.joins.per_clause.take().unwrap_or_default();
+    Ok((res, per_clause.into_inner().unwrap_or_else(PoisonError::into_inner)))
+}
+
+/// The longest-path layering of the goal-reachable IDB predicates: EDB
+/// relations sit at level 0, an IDB predicate one level above its
+/// deepest body predicate. Predicates in the same level never depend on
+/// one another, so a level is a stratum the pool can evaluate
+/// concurrently. Indexed by level; a level may be empty.
+pub(crate) fn strata(program: &Program, order: &[PredId], reachable: &[bool]) -> Vec<Vec<PredId>> {
+    let mut level = vec![0usize; program.num_preds()];
+    let mut num_levels = 1;
+    for &p in order {
+        if !reachable[p.0 as usize] || !program.is_idb(p) {
+            continue;
+        }
+        let mut lv = 1;
+        for clause in program.clauses_for(p) {
+            for atom in &clause.body {
+                if let BodyAtom::Pred(q, _) = atom {
+                    if program.is_idb(*q) {
+                        lv = lv.max(level[q.0 as usize] + 1);
+                    }
+                }
+            }
+        }
+        level[p.0 as usize] = lv;
+        num_levels = num_levels.max(lv + 1);
     }
-    let orig = pruned.origin.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
-    run(&pruned.query, Some(&pruned.origin), orig, db, budget, cfg, qplan, telem)
+    let mut strata: Vec<Vec<PredId>> = vec![Vec::new(); num_levels];
+    for &p in order {
+        if reachable[p.0 as usize] && program.is_idb(p) {
+            strata[level[p.0 as usize]].push(p);
+        }
+    }
+    strata
 }
 
 /// One unit of stratum work: a clause (optionally restricted to a row
@@ -197,6 +223,8 @@ pub fn evaluate_pruned_planned_on_traced(
 /// head's output relation.
 struct Task<'p> {
     clause: &'p Clause,
+    /// The clause's position in the program.
+    index: usize,
     plan: &'p JoinPlan,
     range: Option<(usize, usize)>,
     /// Index into the stratum's output slots.
@@ -284,7 +312,7 @@ fn eval_task_isolated<B: BudgetOps>(
     task: &Task<'_>,
     outs: &[Mutex<(Relation, usize)>],
     buf: &mut Vec<u32>,
-    bindings: &AtomicU64,
+    joins: &JoinTally,
     telem: &Telemetry<'_>,
 ) -> Result<(), Halt> {
     let span = telem.tracer.enabled().then(|| telem.span("clause_task"));
@@ -295,7 +323,7 @@ fn eval_task_isolated<B: BudgetOps>(
         Ok(result) => result,
         Err(payload) => Err(halt_from_panic("ndl::engine::clause_task", payload)),
     };
-    bindings.fetch_add(join.bindings, Ordering::Relaxed);
+    joins.record(task.index, &join);
     if let Some(span) = &span {
         span.attr_str("head", &query.program.pred(task.clause.head).name);
         if let Some((lo, hi)) = task.range {
@@ -318,44 +346,76 @@ fn eval_task_isolated<B: BudgetOps>(
     result.map(|_| ())
 }
 
+/// What the tasks' joins report back: how many intermediate bindings
+/// they kept (summed by the workers; it publishes nothing, hence
+/// `Relaxed`), and — when an executed `explain` asks for them — the
+/// per-clause [`JoinCounters`], summed over a clause's chunk tasks.
+#[derive(Default)]
+struct JoinTally {
+    bindings: AtomicU64,
+    per_clause: Option<Mutex<Vec<JoinCounters>>>,
+}
+
+impl JoinTally {
+    fn record(&self, clause: usize, join: &JoinCounters) {
+        self.bindings.fetch_add(join.bindings, Ordering::Relaxed);
+        if let Some(per_clause) = &self.per_clause {
+            per_clause.lock().unwrap_or_else(PoisonError::into_inner)[clause].absorb(join);
+        }
+    }
+}
+
 /// Scheduling observability: how many tasks actually ran, how many
 /// clauses were skipped because a body relation was known empty, and
-/// how many intermediate bindings the tasks' joins kept (a statistic
-/// summed by the workers; it publishes nothing, hence `Relaxed`).
+/// what their joins reported.
 #[derive(Default)]
 struct SchedStats {
     executed: u64,
     skipped: u64,
-    bindings: AtomicU64,
+    joins: JoinTally,
 }
 
+/// One engine run over `query`. `origin` maps the query's predicates
+/// back to the caller's program (a pruned query's
+/// [`PrunedQuery::origin`]); statistics are reported against that
+/// program's predicate ids.
 #[allow(clippy::too_many_arguments)] // internal driver; bundling would just rename the args
 fn run(
     query: &NdlQuery,
     origin: Option<&[PredId]>,
-    orig_num_preds: usize,
     db: &Database,
     budget: &mut Budget,
     cfg: &EngineConfig,
     qplan: Option<&QueryPlan>,
     telem: Telemetry<'_>,
+    sched: &mut SchedStats,
 ) -> Result<EvalResult, EvalError> {
+    // Hydrate exactly the EDB relations the program mentions before any
+    // join starts, so a lazily loaded snapshot faults in only the columns
+    // this query joins (already-hydrated slots and parse-path databases
+    // cost nothing).
+    let program = &query.program;
+    let relevant = program
+        .pred_ids()
+        .map(|p| program.pred(p).kind)
+        .filter(|k| matches!(k, PredKind::EdbClass(_) | PredKind::EdbProp(_)));
+    let (relations, columns) = db.prefetch(relevant);
+    if relations > 0 {
+        let span = telem.span("hydrate");
+        span.attr("relations", relations);
+        span.attr("columns", columns);
+        span.end();
+    }
+    let orig_num_preds = match origin {
+        Some(origin) => origin.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0),
+        None => program.num_preds(),
+    };
     let span = telem.span("eval");
     span.attr_str("engine", "parallel");
     span.attr("threads", cfg.effective_threads() as u64);
     let ticks_before = budget.spent_steps();
-    let mut sched = SchedStats::default();
-    let result = run_inner(
-        query,
-        origin,
-        orig_num_preds,
-        db,
-        budget,
-        cfg,
-        qplan,
-        telem.under(&span),
-        &mut sched,
-    );
+    let result =
+        run_inner(query, origin, orig_num_preds, db, budget, cfg, qplan, telem.under(&span), sched);
     let tuples = match &result {
         Ok(res) => res.stats.generated_tuples,
         Err(e) => error_stats(e).map_or(0, |s| s.generated_tuples),
@@ -371,7 +431,9 @@ fn run(
     span.attr("clauses_skipped", sched.skipped);
     if let Some(metrics) = telem.metrics {
         metrics.counter("ndl_tuples_generated").add(tuples as u64);
-        metrics.counter("ndl_join_bindings_total").add(sched.bindings.load(Ordering::Relaxed));
+        metrics
+            .counter("ndl_join_bindings_total")
+            .add(sched.joins.bindings.load(Ordering::Relaxed));
         metrics.counter("ndl_budget_ticks").add(budget.spent_steps().saturating_sub(ticks_before));
         metrics.counter("engine_tasks_executed").add(sched.executed);
         metrics.counter("engine_clauses_skipped").add(sched.skipped);
@@ -408,36 +470,8 @@ fn run_inner(
         }
     };
 
-    // Longest-path layering: EDB relations sit at level 0, an IDB
-    // predicate one level above its deepest body predicate. Predicates
-    // in the same level never depend on one another, so a level is a
-    // stratum the pool can evaluate concurrently.
     let sched_span = telem.span("stratum-schedule");
-    let mut level = vec![0usize; num_preds];
-    let mut num_levels = 1;
-    for &p in &order {
-        if !reachable[p.0 as usize] || !program.is_idb(p) {
-            continue;
-        }
-        let mut lv = 1;
-        for clause in program.clauses_for(p) {
-            for atom in &clause.body {
-                if let BodyAtom::Pred(q, _) = atom {
-                    if program.is_idb(*q) {
-                        lv = lv.max(level[q.0 as usize] + 1);
-                    }
-                }
-            }
-        }
-        level[p.0 as usize] = lv;
-        num_levels = num_levels.max(lv + 1);
-    }
-    let mut strata: Vec<Vec<PredId>> = vec![Vec::new(); num_levels];
-    for &p in &order {
-        if reachable[p.0 as usize] && program.is_idb(p) {
-            strata[level[p.0 as usize]].push(p);
-        }
-    }
+    let strata = strata(program, &order, &reachable);
     sched_span.attr("strata", strata.iter().filter(|s| !s.is_empty()).count() as u64);
     sched_span.attr("preds", strata.iter().map(|s| s.len()).sum::<usize>() as u64);
     sched_span.end();
@@ -520,11 +554,17 @@ fn run_inner(
                         let mut lo = 0;
                         while lo < n {
                             let hi = (lo + chunk).min(n);
-                            tasks.push(Task { clause, plan, range: Some((lo, hi)), slot });
+                            tasks.push(Task {
+                                clause,
+                                index: ci,
+                                plan,
+                                range: Some((lo, hi)),
+                                slot,
+                            });
                             lo = hi;
                         }
                     }
-                    _ => tasks.push(Task { clause, plan, range: None, slot }),
+                    _ => tasks.push(Task { clause, index: ci, plan, range: None, slot }),
                 }
             }
         }
@@ -542,7 +582,7 @@ fn run_inner(
                     t,
                     &outs,
                     &mut buf,
-                    &sched.bindings,
+                    &sched.joins,
                     &stratum_telem,
                 ) {
                     halt = Some(h);
@@ -555,7 +595,7 @@ fn run_inner(
             let next = AtomicUsize::new(0);
             let abort = AtomicBool::new(false);
             let first_halt: Mutex<Option<Halt>> = Mutex::new(None);
-            let bindings = &sched.bindings;
+            let joins = &sched.joins;
             std::thread::scope(|scope| {
                 for _ in 0..threads.min(tasks.len()) {
                     scope.spawn(|| {
@@ -572,7 +612,7 @@ fn run_inner(
                                 task,
                                 &outs,
                                 &mut buf,
-                                bindings,
+                                joins,
                                 &stratum_telem,
                             ) {
                                 // Budget halts already poisoned the shared
@@ -637,11 +677,26 @@ fn run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_on;
-    use crate::program::{CVar, Program};
+    use crate::eval::EvalOptions;
+    use crate::program::CVar;
+    use crate::reference::evaluate_reference;
     use obda_budget::Resource;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use std::time::Duration;
+
+    /// The unpruned single-thread engine: the naive materialising
+    /// evaluator the differential tests compare against.
+    const SEQUENTIAL: EngineConfig =
+        EngineConfig { threads: 1, prune: false, chunk_min_rows: 1024, plan: true };
+
+    fn eval(
+        q: &NdlQuery,
+        db: &Database,
+        opts: &EvalOptions,
+        cfg: &EngineConfig,
+    ) -> Result<EvalResult, EvalError> {
+        evaluate_engine_on_traced(q, db, &mut opts.to_budget(), cfg, Telemetry::disabled())
+    }
 
     fn chain_query() -> (NdlQuery, obda_owlql::abox::DataInstance) {
         let o = parse_ontology("Class A\nProperty R\nProperty S\n").unwrap();
@@ -692,12 +747,15 @@ mod tests {
     fn engine_matches_sequential_at_every_thread_count() {
         let (q, d) = chain_query();
         let db = Database::new(&d);
-        let base = evaluate_on(&q, &db, &EvalOptions::default()).unwrap();
+        let base = eval(&q, &db, &EvalOptions::default(), &SEQUENTIAL).unwrap();
+        let reference = evaluate_reference(&q, &d, &EvalOptions::default()).unwrap();
+        assert_eq!(base.answers, reference.answers);
+        assert_eq!(base.stats.generated_tuples, reference.stats.generated_tuples);
         for threads in [1, 2, 4, 8] {
             for prune in [false, true] {
                 for plan in [false, true] {
                     let cfg = EngineConfig { threads, prune, chunk_min_rows: 16, plan };
-                    let res = evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap();
+                    let res = eval(&q, &db, &EvalOptions::default(), &cfg).unwrap();
                     assert_eq!(
                         res.answers, base.answers,
                         "threads={threads} prune={prune} plan={plan}"
@@ -716,7 +774,7 @@ mod tests {
     fn stats_are_deterministic_across_thread_counts() {
         let (q, d) = chain_query();
         let db = Database::new(&d);
-        let reference = evaluate_engine_on(
+        let reference = eval(
             &q,
             &db,
             &EvalOptions::default(),
@@ -724,7 +782,7 @@ mod tests {
         )
         .unwrap();
         for threads in [2, 3, 4, 7] {
-            let res = evaluate_engine_on(
+            let res = eval(
                 &q,
                 &db,
                 &EvalOptions::default(),
@@ -742,7 +800,7 @@ mod tests {
         let (q, d) = chain_query();
         let db = Database::new(&d);
         let opts = EvalOptions { timeout: Some(Duration::ZERO), ..Default::default() };
-        let err = evaluate_engine_on(
+        let err = eval(
             &q,
             &db,
             &opts,
@@ -757,7 +815,7 @@ mod tests {
         let (q, d) = chain_query();
         let db = Database::new(&d);
         let opts = EvalOptions { max_tuples: Some(5), ..Default::default() };
-        let err = evaluate_engine_on(
+        let err = eval(
             &q,
             &db,
             &opts,
@@ -797,10 +855,9 @@ mod tests {
         });
         let q = NdlQuery::new(p, g);
         let db = Database::new(&d);
-        let base = evaluate_on(&q, &db, &EvalOptions::default()).unwrap();
+        let base = eval(&q, &db, &EvalOptions::default(), &SEQUENTIAL).unwrap();
         assert_eq!(base.stats.generated_tuples, 4, "alias doubles the work");
-        let res =
-            evaluate_engine_on(&q, &db, &EvalOptions::default(), &EngineConfig::default()).unwrap();
+        let res = eval(&q, &db, &EvalOptions::default(), &EngineConfig::default()).unwrap();
         assert_eq!(res.answers, base.answers);
         assert_eq!(res.stats.generated_tuples, 2, "alias is pruned away");
         assert_eq!(res.stats.per_predicate.len(), q.program.num_preds());
@@ -827,8 +884,7 @@ mod tests {
         }
         let q = NdlQuery::new(p, g);
         let db = Database::new(&d);
-        let res =
-            evaluate_engine_on(&q, &db, &EvalOptions::default(), &EngineConfig::default()).unwrap();
+        let res = eval(&q, &db, &EvalOptions::default(), &EngineConfig::default()).unwrap();
         assert_eq!(res.answers.len(), 1);
     }
 
@@ -853,13 +909,9 @@ mod tests {
         let d = parse_data("A(a)\n", &o).unwrap();
         let db = Database::new(&d);
         // Pruning must not mask recursion detection.
-        let err = evaluate_engine_on(
-            &NdlQuery::new(p, g),
-            &db,
-            &EvalOptions::default(),
-            &EngineConfig::default(),
-        )
-        .unwrap_err();
+        let err =
+            eval(&NdlQuery::new(p, g), &db, &EvalOptions::default(), &EngineConfig::default())
+                .unwrap_err();
         assert!(matches!(err, EvalError::Recursive));
     }
 
@@ -868,11 +920,12 @@ mod tests {
         let (q, d) = chain_query();
         let db = Database::new(&d);
         let mut budget = Budget::unlimited().max_steps(10);
-        let err = evaluate_engine_on_budgeted(
+        let err = evaluate_engine_on_traced(
             &q,
             &db,
             &mut budget,
             &EngineConfig { threads: 4, prune: false, chunk_min_rows: 8, plan: true },
+            Telemetry::disabled(),
         )
         .unwrap_err();
         assert!(matches!(err, EvalError::Timeout(_)));

@@ -20,7 +20,8 @@
 //! The CLI's `obda explain` command renders these for the rewriting and
 //! for the pruned program.
 
-use crate::eval::{evaluate_collecting, reachable_from_goal, EvalError, EvalResult, JoinCounters};
+use crate::engine::{evaluate_collecting, strata};
+use crate::eval::{reachable_from_goal, EvalError, EvalResult, JoinCounters};
 use crate::planner::{plan_query, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan};
 use crate::program::{BodyAtom, CVar, NdlQuery, PredId, PredKind, Program};
 use crate::storage::Database;
@@ -172,8 +173,8 @@ pub fn explain_plan_with(query: &NdlQuery, qplan: &QueryPlan) -> PlanExplanation
 
 /// Plans *and evaluates* `query` on `db`, returning the explanation
 /// with both estimated and actual per-step cardinalities, alongside the
-/// evaluation result. The evaluation runs on the sequential engine
-/// under `budget`.
+/// evaluation result. The evaluation is one engine run along the same
+/// plan, unpruned and on one thread, under `budget`.
 pub fn explain_plan_executed(
     query: &NdlQuery,
     db: &Database,
@@ -194,31 +195,7 @@ fn build_explanation(
     let reachable = reachable_from_goal(query);
     let order = crate::analysis::topological_order(program).unwrap_or_default();
 
-    let mut level = vec![0usize; num_preds];
-    let mut num_levels = 1;
-    for &p in &order {
-        if !reachable[p.0 as usize] || !program.is_idb(p) {
-            continue;
-        }
-        let mut lv = 1;
-        for clause in program.clauses_for(p) {
-            for atom in &clause.body {
-                if let BodyAtom::Pred(q, _) = atom {
-                    if program.is_idb(*q) {
-                        lv = lv.max(level[q.0 as usize] + 1);
-                    }
-                }
-            }
-        }
-        level[p.0 as usize] = lv;
-        num_levels = num_levels.max(lv + 1);
-    }
-    let mut strata: Vec<Vec<PredId>> = vec![Vec::new(); num_levels];
-    for &p in &order {
-        if reachable[p.0 as usize] && program.is_idb(p) {
-            strata[level[p.0 as usize]].push(p);
-        }
-    }
+    let strata = strata(program, &order, &reachable);
 
     let mut plan = PlanExplanation { strata: Vec::new(), reachable_preds: 0, clauses: 0 };
     plan.reachable_preds = (0..num_preds)

@@ -1,12 +1,13 @@
 //! The original per-call hash-set evaluator, kept as a reference.
 //!
-//! This is the engine the shared-storage evaluator ([`crate::eval`])
+//! This is the evaluator the shared-storage engine ([`crate::engine`])
 //! replaced: relations are `FxHashSet<Vec<u32>>`, every `evaluate_reference`
 //! call re-scans the [`DataInstance`] to materialise EDB relations, and
-//! every predicate atom builds a fresh join index. It is retained for
-//! differential testing (the property tests check the two engines agree)
-//! and as the baseline of the `substrates` benchmark comparing the indexed
-//! join path against the seed hash-set path.
+//! every predicate atom builds a fresh join index. It shares no join code
+//! with the engine, which makes it the independent oracle of the
+//! differential tests (the property tests check the two agree), and it is
+//! the baseline of the `substrates` benchmark comparing the indexed join
+//! path against the seed hash-set path.
 
 use crate::analysis::topological_order;
 use crate::eval::{
@@ -290,9 +291,11 @@ pub fn evaluate_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate;
+    use crate::engine::{evaluate_engine_on_traced, EngineConfig};
     use crate::program::Clause;
+    use crate::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
+    use obda_telemetry::Telemetry;
 
     #[test]
     fn agrees_with_indexed_engine() {
@@ -319,7 +322,15 @@ mod tests {
         let query = NdlQuery::new(p, g);
         let opts = EvalOptions::default();
         let reference = evaluate_reference(&query, &d, &opts).unwrap();
-        let indexed = evaluate(&query, &d, &opts).unwrap();
+        let cfg = EngineConfig { threads: 1, prune: false, ..EngineConfig::default() };
+        let indexed = evaluate_engine_on_traced(
+            &query,
+            &Database::new(&d),
+            &mut opts.to_budget(),
+            &cfg,
+            Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(reference.answers, indexed.answers);
         assert_eq!(reference.stats.per_predicate, indexed.stats.per_predicate);
         assert_eq!(reference.stats.generated_tuples, indexed.stats.generated_tuples);

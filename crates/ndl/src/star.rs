@@ -276,7 +276,8 @@ pub fn declare_vocab(program: &mut Program, vocab: &Vocab) -> (Vec<PredId>, Vec<
 mod tests {
     use super::*;
     use crate::analysis::{is_linear, width};
-    use crate::eval::{evaluate, EvalOptions};
+    use crate::eval::EvalOptions;
+    use crate::reference::evaluate_reference;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use obda_owlql::Ontology;
 
@@ -315,8 +316,8 @@ mod tests {
         let tx = o.taxonomy();
         let q = sample(&o);
         let starred = star_transform(&q, &tx, o.vocab());
-        let r_star = evaluate(&starred, &d, &EvalOptions::default()).unwrap();
-        let r_complete = evaluate(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
+        let r_star = evaluate_reference(&starred, &d, &EvalOptions::default()).unwrap();
+        let r_complete = evaluate_reference(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
         assert_eq!(r_star.answers, r_complete.answers);
         // u has an S-edge to w which implies R(u, w) and B(w); likewise z.
         assert_eq!(r_star.answers.len(), 2);
@@ -330,8 +331,8 @@ mod tests {
         assert!(is_linear(&q.program));
         let starred = linear_star_transform(&q, &tx, o.vocab());
         assert!(is_linear(&starred.program), "Lemma 3 must preserve linearity");
-        let r_lin = evaluate(&starred, &d, &EvalOptions::default()).unwrap();
-        let r_complete = evaluate(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
+        let r_lin = evaluate_reference(&starred, &d, &EvalOptions::default()).unwrap();
+        let r_complete = evaluate_reference(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
         assert_eq!(r_lin.answers, r_complete.answers);
         // Width grows by at most one (Lemma 3).
         assert!(width(&starred.program) <= width(&q.program) + 1);
@@ -364,7 +365,7 @@ mod tests {
         let q = NdlQuery::new(p, g);
         let starred = star_transform(&q, &tx, v);
         let d = parse_data("B(a)\nB(b)\n", &o).unwrap();
-        let res = evaluate(&starred, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate_reference(&starred, &d, &EvalOptions::default()).unwrap();
         // R*(x,x) holds for every individual.
         assert_eq!(res.answers.len(), 2);
         for t in &res.answers {
@@ -389,8 +390,8 @@ mod tests {
         });
         let q = NdlQuery::new(p, g);
         let starred = linear_star_transform(&q, &tx, v);
-        let r_lin = evaluate(&starred, &d, &EvalOptions::default()).unwrap();
-        let r_complete = evaluate(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
+        let r_lin = evaluate_reference(&starred, &d, &EvalOptions::default()).unwrap();
+        let r_complete = evaluate_reference(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
         assert_eq!(r_lin.answers, r_complete.answers);
         assert!(!r_lin.answers.is_empty());
     }

@@ -1,22 +1,38 @@
-//! Property tests for the storage-backed evaluators: the indexed engine
-//! agrees with the seed hash-set reference engine on random nonrecursive
+//! Property tests for the storage-backed evaluators: the engine agrees
+//! with the seed hash-set reference evaluator on random nonrecursive
 //! programs, the linear evaluator agrees with bottom-up over a single
-//! shared [`Database`], and the parallel goal-directed engine agrees with
-//! both at every thread count (override the counts under test with
-//! `OBDA_TEST_THREADS=n1,n2,...`).
+//! shared [`Database`], and the engine's answers and statistics are the
+//! same at every thread count, with and without pruning (override the
+//! counts under test with `OBDA_TEST_THREADS=n1,n2,...`). "Sequential"
+//! below is the engine unpruned on one thread, the naive materialising
+//! evaluator of the paper's experiments.
 
 use obda_ndl::analysis::is_linear;
-use obda_ndl::engine::{evaluate_engine_on, EngineConfig};
-use obda_ndl::eval::{evaluate_on, EvalOptions};
+use obda_ndl::engine::{evaluate_engine_on_traced, EngineConfig};
+use obda_ndl::eval::{EvalError, EvalOptions, EvalResult};
 use obda_ndl::explain::explain_plan_executed;
-use obda_ndl::linear_eval::evaluate_linear_on;
+use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::program::{BodyAtom, CVar, Clause, NdlQuery, PredKind, Program};
 use obda_ndl::reference::evaluate_reference;
 use obda_ndl::storage::Database;
 use obda_owlql::abox::DataInstance;
 use obda_owlql::vocab::Vocab;
 use obda_owlql::{ClassId, PropId};
+use obda_telemetry::Telemetry;
 use proptest::prelude::*;
+
+/// The engine unpruned on one thread.
+const SEQUENTIAL: EngineConfig =
+    EngineConfig { threads: 1, prune: false, chunk_min_rows: 1024, plan: true };
+
+fn run_engine(
+    q: &NdlQuery,
+    db: &Database,
+    opts: &EvalOptions,
+    cfg: &EngineConfig,
+) -> Result<EvalResult, EvalError> {
+    evaluate_engine_on_traced(q, db, &mut opts.to_budget(), cfg, Telemetry::disabled())
+}
 
 const NUM_CLASSES: u32 = 3;
 const NUM_PROPS: u32 = 2;
@@ -254,7 +270,7 @@ fn skewed_columns_misestimate_but_stay_correct() {
     assert_eq!(reference.answers.len(), 41, "all hub spokes join the single P1 row");
     for plan in [false, true] {
         let cfg = EngineConfig { threads: 2, plan, chunk_min_rows: 2, ..EngineConfig::default() };
-        let res = evaluate_engine_on(&q, &db, &opts, &cfg).unwrap();
+        let res = run_engine(&q, &db, &opts, &cfg).unwrap();
         assert_eq!(res.answers, reference.answers, "plan={plan}");
     }
 
@@ -277,11 +293,11 @@ fn skewed_columns_misestimate_but_stay_correct() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
-    /// The parallel, goal-directed engine computes exactly the sequential
-    /// indexed engine's answers (and thus the reference engine's — see
-    /// `indexed_engine_agrees_with_reference`) on random programs, at every
-    /// thread count, with and without relevance pruning; per-predicate
-    /// statistics stay deterministic across thread counts.
+    /// The engine computes exactly the sequential (unpruned, one-thread)
+    /// run's answers, and thus the reference evaluator's, on random
+    /// programs, at every thread count, with and without relevance
+    /// pruning; per-predicate statistics stay deterministic across thread
+    /// counts.
     #[test]
     fn parallel_engine_agrees_with_sequential_and_reference(
         specs in prop::collection::vec(
@@ -295,14 +311,14 @@ proptest! {
         let data = build_data(&atoms);
         let db = Database::new(&data);
         let opts = EvalOptions::default();
-        let sequential = evaluate_on(&q, &db, &opts).unwrap();
+        let sequential = run_engine(&q, &db, &opts, &SEQUENTIAL).unwrap();
         let reference = evaluate_reference(&q, &data, &opts).unwrap();
         prop_assert_eq!(&sequential.answers, &reference.answers);
         for prune in [false, true] {
             let mut stats_fingerprint = None;
             for threads in test_threads() {
                 let cfg = EngineConfig { threads, prune, chunk_min_rows: 2, ..EngineConfig::default() };
-                let res = evaluate_engine_on(&q, &db, &opts, &cfg).unwrap();
+                let res = run_engine(&q, &db, &opts, &cfg).unwrap();
                 prop_assert_eq!(
                     &res.answers, &sequential.answers,
                     "threads={} prune={}", threads, prune
@@ -348,7 +364,7 @@ proptest! {
                 let cfg = EngineConfig {
                     threads, plan, chunk_min_rows: 2, ..EngineConfig::default()
                 };
-                let res = evaluate_engine_on(&q, &db, &opts, &cfg).unwrap();
+                let res = run_engine(&q, &db, &opts, &cfg).unwrap();
                 prop_assert_eq!(
                     &res.answers, &reference.answers,
                     "threads={} plan={}", threads, plan
@@ -362,9 +378,9 @@ proptest! {
         }
     }
 
-    /// The indexed engine over the shared `Database` computes exactly the
-    /// answers of the seed hash-set engine (which re-scans the
-    /// `DataInstance` per call) — the refactor preserves semantics.
+    /// The engine over the shared `Database` computes exactly the answers
+    /// of the seed hash-set evaluator (which re-scans the `DataInstance`
+    /// per call) — the indexed storage preserves semantics.
     #[test]
     fn indexed_engine_agrees_with_reference(
         specs in prop::collection::vec(
@@ -378,7 +394,7 @@ proptest! {
         let data = build_data(&atoms);
         let db = Database::new(&data);
         let opts = EvalOptions::default();
-        let indexed = evaluate_on(&q, &db, &opts).unwrap();
+        let indexed = run_engine(&q, &db, &opts, &SEQUENTIAL).unwrap();
         let reference = evaluate_reference(&q, &data, &opts).unwrap();
         prop_assert_eq!(&indexed.answers, &reference.answers);
         prop_assert_eq!(
@@ -387,8 +403,8 @@ proptest! {
         );
     }
 
-    /// The projecting join kernel is invisible in the results: both
-    /// engines, at every thread count and with outer scans split into
+    /// The projecting join kernel is invisible in the results: the
+    /// engine, at every thread count and with outer scans split into
     /// one-row ranges, derive exactly the reference engine's answers and
     /// generated-tuple counts. The programs mix repeated variables,
     /// `Eq`/`EqConst`, Boolean heads and wide (3-slot) live sets.
@@ -407,21 +423,21 @@ proptest! {
         let db = Database::new(&data);
         let opts = EvalOptions::default();
         let reference = evaluate_reference(&q, &data, &opts).unwrap();
-        let sequential = evaluate_on(&q, &db, &opts).unwrap();
+        let sequential = run_engine(&q, &db, &opts, &SEQUENTIAL).unwrap();
         prop_assert_eq!(&sequential.answers, &reference.answers);
         prop_assert_eq!(sequential.stats.generated_tuples, reference.stats.generated_tuples);
         prop_assert_eq!(&sequential.stats.per_predicate, &reference.stats.per_predicate);
         for threads in test_threads() {
             for plan in [false, true] {
                 let cfg = EngineConfig { threads, prune: false, chunk_min_rows: 1, plan };
-                let res = evaluate_engine_on(&q, &db, &opts, &cfg).unwrap();
+                let res = run_engine(&q, &db, &opts, &cfg).unwrap();
                 prop_assert_eq!(&res.answers, &reference.answers, "threads={} plan={}", threads, plan);
                 prop_assert_eq!(
                     res.stats.generated_tuples, reference.stats.generated_tuples,
                     "threads={} plan={}", threads, plan
                 );
                 let pruned = EngineConfig { prune: true, ..cfg };
-                let res = evaluate_engine_on(&q, &db, &opts, &pruned).unwrap();
+                let res = run_engine(&q, &db, &opts, &pruned).unwrap();
                 prop_assert_eq!(&res.answers, &reference.answers, "pruned threads={}", threads);
             }
         }
@@ -444,8 +460,8 @@ proptest! {
         let db = Database::new(&data);
         let before = Database::build_count();
         let opts = EvalOptions::default();
-        let bottom_up = evaluate_on(&q, &db, &opts).unwrap();
-        let linear = evaluate_linear_on(&q, &db, &opts).unwrap();
+        let bottom_up = run_engine(&q, &db, &opts, &SEQUENTIAL).unwrap();
+        let linear = evaluate_linear_on_budgeted(&q, &db, &mut opts.to_budget()).unwrap();
         prop_assert_eq!(&bottom_up.answers, &linear.answers);
         prop_assert_eq!(Database::build_count(), before, "no hidden database rebuilds");
     }

@@ -17,7 +17,7 @@ use obda::ndl::engine::EngineConfig;
 use obda::owlql::abox::ConstId;
 use obda::{
     AttemptOutcome, ObdaError, ObdaSystem, OverloadConfig, QueryService, RetryPolicy,
-    ServiceConfig, Strategy,
+    ServiceConfig, Strategy, Telemetry,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,7 +71,7 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-fn service(engine: Option<EngineConfig>) -> QueryService {
+fn service(engine: EngineConfig) -> QueryService {
     let system = ObdaSystem::from_text(ONTOLOGY).unwrap();
     QueryService::new(
         system,
@@ -80,7 +80,7 @@ fn service(engine: Option<EngineConfig>) -> QueryService {
             max_queue: 8,
             budget: BudgetSpec::unlimited(),
             retry: fast_retry(),
-            engine,
+            engine: Some(engine),
             overload: OverloadConfig::default(),
         },
     )
@@ -88,6 +88,12 @@ fn service(engine: Option<EngineConfig>) -> QueryService {
 
 fn engine_cfg(threads: usize) -> EngineConfig {
     EngineConfig { threads, prune: true, chunk_min_rows: 16, plan: true }
+}
+
+/// The engine unpruned on one thread: every clause of the rewriting runs
+/// as written, as in the paper's experiments.
+fn sequential_cfg() -> EngineConfig {
+    EngineConfig { threads: 1, prune: false, chunk_min_rows: 16, plan: true }
 }
 
 /// Runs one request under the *currently armed* plan and asserts the core
@@ -150,7 +156,7 @@ fn pinned_seed_sweep_is_sound_at_every_site() {
     let _serial = serial();
     quiet_injected_panics();
     let oracle = oracle();
-    let services = [service(None), service(Some(engine_cfg(1))), service(Some(engine_cfg(4)))];
+    let services = [service(sequential_cfg()), service(engine_cfg(1)), service(engine_cfg(4))];
     for &seed in &[7u64, 42, 0x0bda_5eed] {
         for &site in site::ALL.iter() {
             for kind in [FaultKind::Transient, FaultKind::Panic] {
@@ -197,13 +203,14 @@ fn oneshot_transient_fault_is_retried_to_success_in_order() {
             FaultSpec { kind: FaultKind::Transient, trigger: Trigger::Nth(1) },
         );
         let guard = plan.install();
-        let report = sys.answer_with_fallback_policy(
+        let report = sys.answer_with_fallback_traced(
             &q,
             &d,
             Strategy::Tw,
             &BudgetSpec::unlimited(),
-            Some(&engine_cfg(threads)),
+            &engine_cfg(threads),
             &fast_retry(),
+            Telemetry::disabled(),
         );
         drop(guard);
         assert_eq!(report.winning_strategy(), Some(Strategy::Tw), "threads={threads}\n{report}");
@@ -234,13 +241,14 @@ fn injected_panics_are_never_retried() {
     let d = sys.parse_data(DATA).unwrap();
     let plan = FaultPlan::always(3, site::ENGINE_CLAUSE_TASK, FaultKind::Panic);
     let guard = plan.install();
-    let report = sys.answer_with_fallback_policy(
+    let report = sys.answer_with_fallback_traced(
         &q,
         &d,
         Strategy::Tw,
         &BudgetSpec::unlimited(),
-        Some(&engine_cfg(4)),
+        &engine_cfg(4),
         &fast_retry(),
+        Telemetry::disabled(),
     );
     drop(guard);
     assert!(report.winner.is_none());
@@ -325,13 +333,14 @@ fn exhausted_retries_degrade_with_a_transient_error() {
     let plan = FaultPlan::always(5, site::ENGINE_CLAUSE_TASK, FaultKind::Transient);
     let guard = plan.install();
     let retry = fast_retry();
-    let report = sys.answer_with_fallback_policy(
+    let report = sys.answer_with_fallback_traced(
         &q,
         &d,
         Strategy::Tw,
         &BudgetSpec::unlimited(),
-        Some(&engine_cfg(1)),
+        &engine_cfg(1),
         &retry,
+        Telemetry::disabled(),
     );
     drop(guard);
     assert!(report.winner.is_none());
@@ -363,13 +372,14 @@ fn identical_plans_produce_identical_reports() {
     let mut renders = Vec::new();
     for _ in 0..2 {
         let guard = plan.install();
-        let report = sys.answer_with_fallback_policy(
+        let report = sys.answer_with_fallback_traced(
             &q,
             &d,
             Strategy::Tw,
             &BudgetSpec::unlimited(),
-            Some(&engine_cfg(1)),
+            &engine_cfg(1),
             &fast_retry(),
+            Telemetry::disabled(),
         );
         drop(guard);
         // Strip the timing column: determinism covers outcomes, not clocks.
@@ -391,7 +401,7 @@ fn identical_plans_produce_identical_reports() {
 #[test]
 fn injected_faults_appear_as_error_tagged_spans() {
     let _serial = serial();
-    use obda::{CollectingTracer, Telemetry};
+    use obda::CollectingTracer;
 
     quiet_injected_panics();
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
@@ -406,7 +416,7 @@ fn injected_faults_appear_as_error_tagged_spans() {
             &d,
             Strategy::Tw,
             &BudgetSpec::unlimited(),
-            Some(&engine_cfg(4)),
+            &engine_cfg(4),
             &fast_retry(),
             Telemetry::new(&tracer, None),
         );
@@ -458,7 +468,7 @@ fn service_keeps_answering_after_sustained_failures() {
     let _serial = serial();
     quiet_injected_panics();
     let oracle = oracle();
-    let svc = service(Some(engine_cfg(1)));
+    let svc = service(engine_cfg(1));
     let query = svc.system().parse_query(QUERY).unwrap();
     let data = svc.system().parse_data(DATA).unwrap();
     let id = svc.prepare(&query, Strategy::Tw).unwrap();
@@ -489,7 +499,7 @@ fn service_keeps_answering_after_sustained_failures() {
 fn prepare_under_faults_fails_typed_then_recovers() {
     let _serial = serial();
     quiet_injected_panics();
-    let svc = service(None);
+    let svc = service(EngineConfig::default());
     let query = svc.system().parse_query(QUERY).unwrap();
     let plan = FaultPlan::always(13, site::REWRITE_TREE_WITNESS, FaultKind::Panic);
     let guard = plan.install();
@@ -753,7 +763,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
     /// For an arbitrary seeded plan over any site, kind and trigger, at
-    /// one or four engine threads (or the sequential evaluator), the
+    /// one or four engine threads (or unpruned on one thread), the
     /// system returns either the oracle answer or a typed error — never a
     /// wrong answer, never an escaped panic.
     #[test]
@@ -777,9 +787,9 @@ proptest! {
             _ => Trigger::Probability(f64::from(p_mil) / 1000.0),
         };
         let engine = match engine_sel {
-            0 => None,
-            1 => Some(engine_cfg(1)),
-            _ => Some(engine_cfg(4)),
+            0 => sequential_cfg(),
+            1 => engine_cfg(1),
+            _ => engine_cfg(4),
         };
         let svc = service(engine);
         let fault_site = site::ALL[site_idx];

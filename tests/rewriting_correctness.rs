@@ -201,7 +201,9 @@ proptest! {
             for prune in [false, true] {
                 let cfg = EngineConfig { threads: n, prune, ..EngineConfig::default() };
                 let res = system
-                    .answer_with_budget_engine(&query, &data, Rewriting::Tw, &spec, &cfg)
+                    .answer_with_budget_engine_traced(
+                        &query, &data, Rewriting::Tw, &spec, &cfg, obda::Telemetry::disabled(),
+                    )
                     .unwrap();
                 prop_assert_eq!(
                     &res.answers, &oracle,
@@ -221,7 +223,8 @@ proptest! {
         data_atoms in prop::collection::vec((0u8..9, 0u8..4, 0u8..4), 0..8),
     ) {
         use obda_ndl::analysis::analyze;
-        use obda_ndl::eval::{evaluate, EvalOptions};
+        use obda_ndl::eval::EvalOptions;
+        use obda_ndl::reference::evaluate_reference;
         use obda_ndl::skinny::to_skinny;
 
         let ontology = build_ontology(&axioms);
@@ -236,8 +239,8 @@ proptest! {
         let after = analyze(&skinny);
         prop_assert!(after.skinny);
         prop_assert!(after.depth <= before.skinny_depth);
-        let r1 = evaluate(&rewriting, &data, &EvalOptions::default()).unwrap();
-        let r2 = evaluate(&skinny, &data, &EvalOptions::default()).unwrap();
+        let r1 = evaluate_reference(&rewriting, &data, &EvalOptions::default()).unwrap();
+        let r2 = evaluate_reference(&skinny, &data, &EvalOptions::default()).unwrap();
         prop_assert_eq!(r1.answers, r2.answers);
     }
 
@@ -249,8 +252,10 @@ proptest! {
         qspec in query_spec(),
         data_atoms in prop::collection::vec((0u8..9, 0u8..4, 0u8..4), 0..8),
     ) {
-        use obda_ndl::eval::{evaluate, EvalOptions};
-        use obda_ndl::linear_eval::evaluate_linear;
+        use obda::budget::Budget;
+        use obda_ndl::engine::{evaluate_engine_on_traced, EngineConfig};
+        use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
+        use obda_ndl::storage::Database;
 
         let ontology = build_ontology(&axioms);
         let query = build_query(&qspec, &ontology);
@@ -260,8 +265,13 @@ proptest! {
             return Ok(());
         };
         prop_assert!(obda_ndl::analysis::is_linear(&rewriting.program));
-        let bu = evaluate(&rewriting, &data, &EvalOptions::default()).unwrap();
-        let lin = evaluate_linear(&rewriting, &data, &EvalOptions::default()).unwrap();
+        let db = Database::new(&data);
+        let cfg = EngineConfig { threads: 1, prune: false, ..EngineConfig::default() };
+        let bu = evaluate_engine_on_traced(
+            &rewriting, &db, &mut Budget::unlimited(), &cfg, obda::Telemetry::disabled(),
+        )
+        .unwrap();
+        let lin = evaluate_linear_on_budgeted(&rewriting, &db, &mut Budget::unlimited()).unwrap();
         prop_assert_eq!(bu.answers, lin.answers);
     }
 }

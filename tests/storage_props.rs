@@ -3,6 +3,8 @@
 //! [`PreparedOmq`] executed on one shared [`Database`] returns exactly the
 //! chase oracle's certain answers.
 
+use obda::budget::Budget;
+use obda::ndl::engine::EngineConfig;
 use obda::ndl::storage::Database;
 use obda::{ObdaSystem, Strategy};
 use proptest::prelude::*;
@@ -87,10 +89,12 @@ proptest! {
         let before = Database::build_count();
         for strategy in Strategy::ALL {
             let Ok(prepared) = sys.prepare(&q, strategy) else { continue };
-            let res = prepared.execute(&db, &Default::default()).unwrap();
+            let sequential = EngineConfig { threads: 1, prune: false, ..EngineConfig::default() };
+            let res =
+                prepared.execute_engine_budgeted(&db, &mut Budget::unlimited(), &sequential).unwrap();
             prop_assert_eq!(&res.answers, &oracle, "strategy {}", strategy);
             if prepared.analysis().linear {
-                let lin = prepared.execute_linear(&db, &Default::default()).unwrap();
+                let lin = prepared.execute_linear_budgeted(&db, &mut Budget::unlimited()).unwrap();
                 prop_assert_eq!(&lin.answers, &oracle, "linear engine, strategy {}", strategy);
             }
         }

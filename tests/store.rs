@@ -384,6 +384,110 @@ fn service_requests_hydrate_lazily_and_match_eager() {
     );
 }
 
+/// The unpruned engine (`--no-prune`, the configuration of the paper's
+/// Tables 3–5) hydrates a lazily opened snapshot once, before any join
+/// starts — one `hydrate` span ahead of the `eval` span — instead of
+/// faulting columns in one at a time inside the clause tasks, and answers
+/// exactly like the memory backend.
+#[test]
+fn unpruned_engine_hydrates_a_lazy_snapshot_up_front() {
+    use obda::budget::Budget;
+    use obda::ndl::engine::evaluate_engine_on_traced;
+    use obda::{CollectingTracer, Telemetry};
+
+    let sys = paper_system();
+    let data = table2_dataset(&sys, 3);
+    let lazy = snapshot_of(&sys, &data);
+    let mem = MemoryBackend::new(data);
+    let cfg = EngineConfig { threads: 1, prune: false, ..EngineConfig::default() };
+    let q = word_query(sys.ontology(), "RRS");
+    let rewriting = sys.rewrite(&q, Strategy::Tw).unwrap();
+    assert_eq!(lazy.columns_touched(), 0, "opening alone must hydrate nothing");
+
+    let tracer = CollectingTracer::new();
+    let res = evaluate_engine_on_traced(
+        &rewriting,
+        lazy.database(),
+        &mut Budget::unlimited(),
+        &cfg,
+        Telemetry::new(&tracer, None),
+    )
+    .unwrap();
+    let tree = tracer.snapshot();
+    let hydrates: Vec<_> = tree.iter().filter(|s| s.name == "hydrate").collect();
+    assert_eq!(hydrates.len(), 1, "one hydrate span:\n{}", tree.render_pretty());
+    assert!(hydrates[0].attr("relations").is_some_and(|n| n > 0));
+    let roots: Vec<&str> = tree.roots.iter().map(|s| s.name).collect();
+    assert_eq!(roots, ["hydrate", "eval"], "hydration precedes the joins");
+    assert!(lazy.columns_touched() > 0);
+
+    let expected = evaluate_engine_on_traced(
+        &rewriting,
+        mem.database(),
+        &mut Budget::unlimited(),
+        &cfg,
+        Telemetry::disabled(),
+    )
+    .unwrap();
+    assert!(!expected.answers.is_empty(), "the fixture must have answers");
+    assert_eq!(res.answers, expected.answers);
+    assert_eq!(res.stats.generated_tuples, expected.stats.generated_tuples);
+}
+
+/// `ServiceConfig { engine: None, .. }` means the default engine on both
+/// service paths: the fallback ladder (`answer_backend`) and the prepared
+/// hot path (`execute_prepared_backend_traced`) return the same answers
+/// and generated-tuple counts with `None` as with
+/// `Some(EngineConfig::default())`. Relevance pruning halves the tuples
+/// the Tw rewriting of `RS` generates here, so an unpruned evaluation on
+/// either path would stand out.
+#[test]
+fn engine_none_is_the_default_engine_on_both_service_paths() {
+    use obda::budget::Budget;
+    use obda::Telemetry;
+
+    let sys = paper_system();
+    let data = table2_dataset(&sys, 3);
+    let snap = snapshot_of(&sys, &data);
+    let q = word_query(sys.ontology(), "RS");
+    let prepared = sys.prepare(&q, Strategy::Tw).unwrap();
+    let pruning = prepared.prune_stats();
+    assert!(pruning.preds_after < pruning.preds_before, "pruning must drop predicates");
+    let unpruned = EngineConfig { threads: 1, prune: false, ..EngineConfig::default() };
+    let naive =
+        prepared.execute_engine_budgeted(snap.database(), &mut Budget::unlimited(), &unpruned);
+    let naive = naive.unwrap().stats.generated_tuples;
+
+    let mut runs = Vec::new();
+    for engine in [None, Some(EngineConfig::default())] {
+        let svc = QueryService::new(
+            paper_system(),
+            ServiceConfig { engine: engine.clone(), ..ServiceConfig::default() },
+        );
+        let ladder = svc.answer_backend(&q, &snap, Strategy::Tw).unwrap();
+        assert_eq!(ladder.report.winning_strategy(), Some(Strategy::Tw), "engine={engine:?}");
+        let ladder = ladder.result().expect("ladder answers").clone();
+        let hot = svc
+            .execute_prepared_backend_traced(
+                &prepared,
+                &snap,
+                &BudgetSpec::unlimited(),
+                Telemetry::disabled(),
+            )
+            .unwrap()
+            .result;
+        runs.push((format!("{engine:?} ladder"), ladder));
+        runs.push((format!("{engine:?} prepared"), hot));
+    }
+    let (_, first) = &runs[0];
+    assert!(!first.answers.is_empty(), "the fixture must have answers");
+    assert!(first.stats.generated_tuples < naive, "pruning must save tuples here");
+    for (ctx, run) in &runs {
+        assert_eq!(run.answers, first.answers, "{ctx}");
+        assert_eq!(run.stats.generated_tuples, first.stats.generated_tuples, "{ctx}");
+    }
+}
+
 /// `read_info` (the `dbinfo` entry point) reports the structure the
 /// writer recorded, without loading any segment data.
 #[test]

@@ -3,15 +3,14 @@
 //! trace is an account of the evaluation, not an approximation of it.
 //!
 //! * the `eval` span's `tuples`/`answers` attributes equal the stats;
-//! * the per-clause join spans (`clause` sequentially, `clause_task` in the
-//!   parallel engine) sum to the same tuple total, at every thread count of
+//! * the per-task join spans (`clause_task`) sum to the same tuple total,
+//!   sequentially (no pruning, one thread) and at every thread count of
 //!   the `OBDA_TEST_THREADS` matrix;
 //! * the `ndl_tuples_generated` counter agrees with both;
 //! * traced and untraced runs return identical answers.
 
 use obda::budget::BudgetSpec;
 use obda::ndl::engine::{evaluate_engine_on_traced, EngineConfig};
-use obda::ndl::eval::evaluate_on_traced;
 use obda::ndl::storage::Database;
 use obda::telemetry::{TraceSpan, TraceTree};
 use obda::{CollectingTracer, MetricsRegistry, ObdaSystem, Strategy, Telemetry};
@@ -37,12 +36,15 @@ fn thread_matrix() -> Vec<usize> {
     }
 }
 
-/// Sum of the `tuples` attributes over every per-clause join span.
+/// The engine unpruned on one thread: every clause of the rewriting runs
+/// as written, one task each.
+fn sequential() -> EngineConfig {
+    EngineConfig { threads: 1, prune: false, ..EngineConfig::default() }
+}
+
+/// Sum of the `tuples` attributes over every per-task join span.
 fn clause_tuple_sum(tree: &TraceTree) -> u64 {
-    tree.iter()
-        .filter(|s| s.name == "clause" || s.name == "clause_task")
-        .filter_map(|s| s.attr("tuples"))
-        .sum()
+    tree.iter().filter(|s| s.name == "clause_task").filter_map(|s| s.attr("tuples")).sum()
 }
 
 /// Every span ended, and every child's duration fits inside its parent's.
@@ -77,9 +79,14 @@ fn sequential_span_counts_match_eval_stats() {
     let tracer = CollectingTracer::new();
     let registry = MetricsRegistry::new();
     let mut budget = BudgetSpec::unlimited().start();
-    let res =
-        evaluate_on_traced(&rewriting, &db, &mut budget, Telemetry::new(&tracer, Some(&registry)))
-            .unwrap();
+    let res = evaluate_engine_on_traced(
+        &rewriting,
+        &db,
+        &mut budget,
+        &sequential(),
+        Telemetry::new(&tracer, Some(&registry)),
+    )
+    .unwrap();
     assert!(res.stats.generated_tuples > 0, "the fixture must generate tuples");
 
     let tree = tracer.snapshot();
@@ -87,13 +94,17 @@ fn sequential_span_counts_match_eval_stats() {
     assert!(tree.iter().all(|s| s.error.is_none()), "no span may fail:\n{}", tree.render_pretty());
 
     let eval = tree.iter().find(|s| s.name == "eval").expect("an eval span");
-    assert_eq!(eval.attr_str("engine"), Some("sequential"));
+    assert_eq!(eval.attr("threads"), Some(1));
     assert_eq!(eval.attr("tuples"), Some(res.stats.generated_tuples as u64));
     assert_eq!(eval.attr("answers"), Some(res.stats.num_answers as u64));
+    // Unpruned and unchunked, there is exactly one task per goal-reachable
+    // clause, and the tasks account for every generated tuple.
+    let tasks = tree.iter().filter(|s| s.name == "clause_task").count() as u64;
+    assert_eq!(Some(tasks), eval.attr("tasks_executed"));
     assert_eq!(
         clause_tuple_sum(&tree),
         res.stats.generated_tuples as u64,
-        "clause spans must account for every generated tuple:\n{}",
+        "clause_task spans must account for every generated tuple:\n{}",
         tree.render_pretty()
     );
     assert_eq!(
@@ -169,10 +180,11 @@ fn sequential_and_parallel_traces_agree_on_totals() {
     let db = Database::new(&d);
 
     let seq_tracer = CollectingTracer::new();
-    let seq = evaluate_on_traced(
+    let seq = evaluate_engine_on_traced(
         &rewriting,
         &db,
         &mut BudgetSpec::unlimited().start(),
+        &sequential(),
         Telemetry::new(&seq_tracer, None),
     )
     .unwrap();
@@ -189,13 +201,13 @@ fn sequential_and_parallel_traces_agree_on_totals() {
         )
         .unwrap();
         assert_eq!(par.answers, seq.answers, "threads={threads}");
-        // Same unpruned program, same data: both engines generate the same
-        // tuples, and both traces account for all of them.
+        // Same unpruned program, same data: every thread count generates
+        // the same tuples, and every trace accounts for all of them.
         assert_eq!(par.stats.generated_tuples, seq.stats.generated_tuples, "threads={threads}");
         assert_eq!(
             clause_tuple_sum(&par_tracer.snapshot()),
             clause_tuple_sum(&seq_tracer.snapshot()),
-            "threads={threads}: the two engines' traces account differently"
+            "threads={threads}: the sequential and parallel traces account differently"
         );
     }
 }
