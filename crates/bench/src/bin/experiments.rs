@@ -839,7 +839,14 @@ fn store_sweep(sys: &obda::ObdaSystem) -> String {
         let (mut full_bytes, mut atoms) = (0u64, 0usize);
         for _ in 0..RUNS {
             let start = Instant::now();
-            let eager = obda::Snapshot::open_eager(&path, vocab).expect("eager open");
+            let eager = obda::Snapshot::open_with(
+                &path,
+                vocab,
+                &mut obda::budget::Budget::unlimited(),
+                obda::Telemetry::disabled(),
+                obda::Hydration::Eager,
+            )
+            .expect("eager open");
             eager_best = eager_best.min(start.elapsed());
             full_bytes = eager.bytes_touched();
             atoms = eager.database().num_atoms();

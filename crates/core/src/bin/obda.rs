@@ -33,8 +33,10 @@
 //! faults in only the columns it actually joins (`--mmap` names this
 //! default explicitly; `--eager` is the A/B switch that decodes and
 //! verifies every segment at open time). `dbinfo` prints a snapshot's
-//! header, flag bits, layout, dictionary size and per-relation row
-//! counts without needing the ontology.
+//! header, flag bits, dictionary size and per-relation row counts
+//! without needing the ontology, reading only the metadata pages. A
+//! snapshot written by an older, incompatible build is refused (exit 3);
+//! `obda build` rewrites it from the data file.
 //!
 //! `answer` evaluates with the goal-directed engine: the rewriting is
 //! relevance-pruned towards the goal (disable with `--no-prune`), each
@@ -94,7 +96,8 @@
 //! | 2    | usage error (unknown command, flag or flag value)         |
 //! | 3    | parse error in the ontology, query or data file — or a    |
 //! |      | corrupt/incompatible `.obdb` snapshot (truncation, bit    |
-//! |      | flips, bad magic, unknown version, foreign vocabulary)    |
+//! |      | flips, bad magic, unknown version, foreign vocabulary),   |
+//! |      | whether found at open or when a data block hydrates       |
 //! | 4    | rewriting refused structurally (not a budget trip)        |
 //! | 5    | evaluation failed (not a budget trip)                     |
 //! | 6    | resource budget exhausted (every fallback attempt, too)   |
@@ -112,6 +115,7 @@ use obda::{
     Snapshot, StorageBackend, StoreError, Strategy, TenantQuota, WatchdogConfig,
 };
 use obda_ndl::engine::EngineConfig;
+use obda_ndl::eval::EvalError;
 use obda_ndl::program::ProgramDisplay;
 use obda_ndl::relevance::prune_for_goal;
 use std::process::ExitCode;
@@ -190,7 +194,7 @@ fn print_help() {
          \x20            --data/--db the plan is costed and executed once on the engine\n\
          \x20 answer     rewrite and evaluate over --data or a --db snapshot\n\
          \x20 build      compile a data file into a dictionary-encoded .obdb snapshot\n\
-         \x20 dbinfo     print a snapshot's header, flags, layout and row counts\n\
+         \x20 dbinfo     print a snapshot's header, flags, dictionary and row counts\n\
          \x20 serve      hardened multi-tenant HTTP query server over --db/--data\n\
          \nserve endpoints: POST /query (headers X-Obda-Tenant, X-Obda-Timeout-Ms,\n\
          X-Obda-Strategy), GET /explain?query=..., GET /metrics, GET /healthz,\n\
@@ -211,13 +215,16 @@ fn print_help() {
          first touch by default, so resident bytes track the columns a query\n\
          actually joins; --mmap names that default explicitly and --eager\n\
          decodes and verifies every segment at open time (the A/B switch).\n\
+         A snapshot written by an incompatible older build is refused (exit 3);\n\
+         rebuild it with `obda build`.\n\
          \nstrategies: lin, log, tw, twstar, ucq, twucq, presto, adaptive (default)\n\
          \nexit codes:\n\
          \x20 0  success\n\
          \x20 1  internal error (I/O, invariant violation)\n\
          \x20 2  usage error (unknown command, flag or flag value)\n\
          \x20 3  parse error in the ontology, query or data file, or a corrupt\n\
-         \x20    or incompatible .obdb snapshot\n\
+         \x20    or incompatible .obdb snapshot (at open or when a data block\n\
+         \x20    hydrates)\n\
          \x20 4  rewriting refused structurally (not a budget trip)\n\
          \x20 5  evaluation failed (not a budget trip)\n\
          \x20 6  resource budget exhausted (every fallback attempt, too)\n\
@@ -491,6 +498,9 @@ impl From<ObdaError> for CliError {
         match e {
             ObdaError::Parse(_) => CliError::Parse(msg),
             ObdaError::Rewrite(_) => CliError::Rewrite(msg),
+            // A corrupt snapshot block found at hydration is the same
+            // verdict as corruption found at open.
+            ObdaError::Eval(EvalError::Corrupt(_)) => CliError::Parse(msg),
             ObdaError::Eval(_) => CliError::Eval(msg),
             ObdaError::Chase(_) => CliError::Budget(msg),
             // A transient fault that survived every retry behaves like an
@@ -568,13 +578,8 @@ fn run(args: &Args, telem: Telemetry<'_>) -> Result<(), CliError> {
         "explain" => run_explain(args, &system, &query, telem),
         "answer" => {
             let data = if let Some(db) = &args.db {
-                AnswerData::Snapshot(Box::new(Snapshot::open_with(
-                    std::path::Path::new(db),
-                    system.ontology().vocab(),
-                    &mut obda::budget::Budget::unlimited(),
-                    telem,
-                    args.hydration.unwrap_or_default(),
-                )?))
+                let hydration = args.hydration.unwrap_or_default();
+                AnswerData::Snapshot(Box::new(open_snapshot(db, &system, telem, hydration)?))
             } else {
                 let dspan = telem.span("parse:data");
                 match system.parse_data(&read(&args.data, "data")?) {
@@ -654,17 +659,6 @@ fn run_dbinfo(args: &Args) -> Result<(), CliError> {
     let named = flag_names(info.flags);
     let known = if named.is_empty() { "none".to_owned() } else { named.join(", ") };
     let unknown = unknown_flags(info.flags);
-    let layout = if info.version < 2 {
-        "flat (v1)"
-    } else if info.footer {
-        if info.appended {
-            "footer (appendable, has appended segments)"
-        } else {
-            "footer (appendable)"
-        }
-    } else {
-        "inline"
-    };
     println!("snapshot:       {path}");
     println!("format version: {}", info.version);
     if unknown == 0 {
@@ -676,13 +670,10 @@ fn run_dbinfo(args: &Args) -> Result<(), CliError> {
             info.flags
         );
     }
-    println!("layout:         {layout}");
     println!("file bytes:     {}", info.file_bytes);
     println!("payload bytes:  {}", info.payload_bytes);
     println!("checksum:       {:#018x} (word-folded FNV-1a 64, verified)", info.checksum);
     println!("dictionary:     {} constants, {} bytes", info.num_consts, info.dict_bytes);
-    println!("stats:          {}", info.stats_source());
-    println!("indexes:        {}", info.index_source());
     println!("atoms:          {}", info.num_atoms);
     println!("relations:      {}", info.relations.len());
     for rel in &info.relations {
@@ -690,6 +681,19 @@ fn run_dbinfo(args: &Args) -> Result<(), CliError> {
         println!("  {:<10} {} ({} rows)", kind, rel.name, rel.rows);
     }
     Ok(())
+}
+
+/// Opens the `--db` snapshot against the system's vocabulary (traced,
+/// unbudgeted).
+fn open_snapshot(
+    path: &str,
+    system: &ObdaSystem,
+    telem: Telemetry<'_>,
+    hydration: Hydration,
+) -> Result<Snapshot, StoreError> {
+    let vocab = system.ontology().vocab();
+    let mut budget = obda::budget::Budget::unlimited();
+    Snapshot::open_with(std::path::Path::new(path), vocab, &mut budget, telem, hydration)
 }
 
 /// The data a CLI `answer` evaluates over: parsed from text, or reopened
@@ -763,12 +767,13 @@ fn run_explain(
     // relation statistics, and one single-thread execution annotates every
     // step with the cardinality it actually produced. Without data the
     // schedule falls back to the syntactic join order.
-    let backend: Option<Box<dyn StorageBackend>> = if let Some(db) = &args.db {
-        Some(Box::new(Snapshot::open_traced(
-            std::path::Path::new(db),
-            system.ontology().vocab(),
-            telem,
-        )?))
+    let snapshot = match &args.db {
+        Some(db) => Some(open_snapshot(db, system, telem, Hydration::Lazy)?),
+        None => None,
+    };
+    let snapshot_info = snapshot.as_ref().map(|snap| snap.info().clone());
+    let backend: Option<Box<dyn StorageBackend>> = if let Some(snap) = snapshot {
+        Some(Box::new(snap))
     } else if let Some(path) = &args.data {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Internal(format!("cannot read {path}: {e}")))?;
@@ -797,17 +802,16 @@ fn run_explain(
     }
 
     // With `--db`, also describe the snapshot the plan ran over — the
-    // structural header decode (dictionary, per-relation row counts).
-    if let Some(db) = &args.db {
-        let info = read_info(std::path::Path::new(db))?;
+    // structural metadata decoded at open (dictionary, per-relation row
+    // counts).
+    if let (Some(db), Some(info)) = (&args.db, &snapshot_info) {
         println!();
         println!("== snapshot {db} (format v{}, {} bytes) ==", info.version, info.file_bytes);
         println!(
-            "{} constants, {} atoms, {} relations (stats {}):",
+            "{} constants, {} atoms, {} relations:",
             info.num_consts,
             info.num_atoms,
-            info.relations.len(),
-            info.stats_source()
+            info.relations.len()
         );
         for rel in &info.relations {
             println!("  {}/{} ({} rows)", rel.name, rel.arity, rel.rows);
@@ -826,7 +830,7 @@ fn run_serve(args: &Args, system: ObdaSystem, telem: Telemetry<'_>) -> Result<()
     use std::io::Write as _;
 
     let backend: Box<dyn StorageBackend + Send + Sync> = if let Some(db) = &args.db {
-        Box::new(Snapshot::open_traced(std::path::Path::new(db), system.ontology().vocab(), telem)?)
+        Box::new(open_snapshot(db, &system, telem, Hydration::Lazy)?)
     } else if let Some(path) = &args.data {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Internal(format!("cannot read {path}: {e}")))?;

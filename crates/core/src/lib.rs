@@ -59,13 +59,13 @@ pub use service::{
 };
 
 // The persistent snapshot store: build `.obdb` files with
-// [`store::write_snapshot`], reopen them with [`Snapshot::open`], and
+// [`store::write_snapshot`], reopen them with [`Snapshot::open_with`], and
 // evaluate through the [`StorageBackend`] seam shared with in-memory
 // instances.
 pub use obda_store as store;
 pub use obda_store::{
-    append_snapshot, read_info, write_snapshot, write_snapshot_footer, Hydration, MemoryBackend,
-    RelationInfo, Snapshot, SnapshotInfo, StorageBackend, StoreError,
+    read_info, write_snapshot, Hydration, MemoryBackend, RelationInfo, Snapshot, SnapshotInfo,
+    StorageBackend, StoreError,
 };
 
 // Substrate re-exports.

@@ -393,13 +393,20 @@ fn run(
     // Hydrate exactly the EDB relations the program mentions before any
     // join starts, so a lazily loaded snapshot faults in only the columns
     // this query joins (already-hydrated slots and parse-path databases
-    // cost nothing).
+    // cost nothing) — and a corrupt block fails the run as a typed error
+    // before any join could touch it.
     let program = &query.program;
     let relevant = program
         .pred_ids()
         .map(|p| program.pred(p).kind)
         .filter(|k| matches!(k, PredKind::EdbClass(_) | PredKind::EdbProp(_)));
-    let (relations, columns) = db.prefetch(relevant);
+    let (relations, columns) = match db.prefetch(relevant) {
+        Ok(counts) => counts,
+        Err(msg) => {
+            telem.span("hydrate").error(&msg);
+            return Err(EvalError::Corrupt(msg));
+        }
+    };
     if relations > 0 {
         let span = telem.span("hydrate");
         span.attr("relations", relations);

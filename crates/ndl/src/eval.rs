@@ -82,6 +82,11 @@ pub enum EvalError {
     /// recoverable substrate hiccup) interrupted evaluation; retrying the
     /// same evaluation may succeed. Carries the originating site tag.
     Transient(&'static str),
+    /// A relation of the database failed to hydrate: a lazily opened
+    /// snapshot's data block is corrupt (checksum, dictionary range or
+    /// sort order). Not retryable — the bytes will not change. Carries
+    /// the store's message.
+    Corrupt(String),
     /// A panic escaped the evaluation kernel and was caught at an
     /// isolation boundary. Not retryable: it indicates a bug (or an
     /// injected deliberate panic exercising the isolation path).
@@ -105,6 +110,7 @@ impl std::fmt::Display for EvalError {
             EvalError::Recursive => write!(f, "program is recursive"),
             EvalError::Unsafe(msg) => write!(f, "unsafe clause: {msg}"),
             EvalError::Transient(site) => write!(f, "transient fault at {site}"),
+            EvalError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             EvalError::Internal { site, payload } => {
                 write!(f, "internal error: panic caught at {site}: {payload}")
             }

@@ -17,7 +17,7 @@
 
 use crate::analysis::is_linear;
 use crate::eval::{EvalError, EvalResult, EvalStats, Halt, Row, UNBOUND};
-use crate::program::{BodyAtom, Clause, NdlQuery, PredId, Program};
+use crate::program::{BodyAtom, Clause, NdlQuery, PredId, PredKind, Program};
 use crate::storage::Database;
 use obda_budget::Budget;
 use obda_owlql::abox::ConstId;
@@ -41,6 +41,10 @@ pub fn evaluate_linear_on_budgeted(
     }
     let start = Instant::now();
     let program = &query.program;
+    // Hydrate the EDB relations up front, so a corrupt snapshot block is
+    // a typed error rather than a panic inside the worklist loop.
+    let edb = program.pred_ids().map(|p| program.pred(p).kind).filter(|k| *k != PredKind::Idb);
+    db.prefetch(edb).map_err(EvalError::Corrupt)?;
 
     // Derived ground atoms per IDB predicate, plus a worklist.
     let mut derived: FxHashMap<PredId, FxHashSet<Row>> = FxHashMap::default();

@@ -525,13 +525,21 @@ pub fn plan_query(query: &NdlQuery, db: &Database) -> QueryPlan {
     let program = &query.program;
     let nclauses = program.clauses().len();
     let mut est_pred_rows = vec![0.0f64; program.num_preds()];
-    for p in program.pred_ids() {
-        match program.pred(p).kind {
-            PredKind::Idb => {}
-            kind => est_pred_rows[p.0 as usize] = db.relation(kind).len() as f64,
+    // A relation that fails to hydrate (a corrupt snapshot block) has no
+    // statistics to cost; the engine's own prefetch reports it as a typed
+    // error, so plan syntactically here rather than panic.
+    let edb = program.pred_ids().map(|p| program.pred(p).kind).filter(|k| *k != PredKind::Idb);
+    let hydrated = db.prefetch(edb).is_ok();
+    if hydrated {
+        for p in program.pred_ids() {
+            match program.pred(p).kind {
+                PredKind::Idb => {}
+                kind => est_pred_rows[p.0 as usize] = db.relation(kind).len() as f64,
+            }
         }
     }
-    let Some(topo) = topological_order(program) else {
+    let topo = topological_order(program).filter(|_| hydrated);
+    let Some(topo) = topo else {
         // Recursive programs are rejected by the engines before planning;
         // degrade to syntactic plans rather than panic.
         return QueryPlan {

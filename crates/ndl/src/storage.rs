@@ -52,9 +52,11 @@
 //! initialiser through `&Database`, sound for the same reason lazy
 //! column indexes are — every reader serialises on the slot and
 //! observes the one hydrated relation, and mutation would require the
-//! `&mut` access that cannot coexist with readers. [`Database::prefetch`]
-//! hydrates a predicate set up front (the relevance pruner's relevant
-//! set), so a pruned query faults in only the columns it joins.
+//! `&mut` access that cannot coexist with readers. A hydrator may fail
+//! (a corrupt snapshot block); [`Database::prefetch`] hydrates a
+//! predicate set up front (the relevance pruner's relevant set), so a
+//! pruned query faults in only the columns it joins, and returns such a
+//! failure as a value — the `&self` accessors can only panic on it.
 
 use crate::program::PredKind;
 use crate::rowset::RowSet;
@@ -527,49 +529,75 @@ static DATABASE_IDS: AtomicUsize = AtomicUsize::new(1);
 /// A [`Database`] slot that hydrates its [`Relation`] on first touch.
 ///
 /// The parse path fills slots eagerly ([`LazyRelation::ready`]); the
-/// snapshot store installs a hydrator closure ([`LazyRelation::lazy`])
+/// snapshot store installs a fallible hydrator ([`LazyRelation::lazy`])
 /// that decodes the relation from the mapped file when some evaluation
 /// first asks for it. Hydration is serialised by a `OnceLock`, so
-/// concurrent first readers observe exactly one relation, and a panic
-/// out of the hydrator leaves the slot empty for a retried evaluation.
+/// concurrent first readers observe exactly one hydration, and its
+/// outcome — the relation or the corruption message — is kept: the
+/// mapped bytes are immutable, so a retry could only fail the same way.
 pub struct LazyRelation {
-    cell: OnceLock<Relation>,
-    init: Option<Box<dyn Fn() -> Relation + Send + Sync>>,
+    cell: OnceLock<Result<Relation, String>>,
+    init: Option<Box<Hydrator>>,
 }
+
+/// A slot's hydrator: the relation, or a message naming the corruption.
+type Hydrator = dyn Fn() -> Result<Relation, String> + Send + Sync;
 
 impl LazyRelation {
     /// An already-hydrated slot (the parse path).
     pub fn ready(rel: Relation) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(rel);
-        LazyRelation { cell, init: None }
+        LazyRelation { cell: OnceLock::from(Ok(rel)), init: None }
     }
 
     /// A slot hydrated by `init` on first access (the snapshot path).
-    pub fn lazy(init: impl Fn() -> Relation + Send + Sync + 'static) -> Self {
+    pub fn lazy(init: impl Fn() -> Result<Relation, String> + Send + Sync + 'static) -> Self {
         LazyRelation { cell: OnceLock::new(), init: Some(Box::new(init)) }
+    }
+
+    /// Whether hydration has run (successfully or not).
+    fn is_attempted(&self) -> bool {
+        self.cell.get().is_some()
     }
 
     /// Whether the relation has been hydrated already.
     pub fn is_hydrated(&self) -> bool {
-        self.cell.get().is_some()
+        matches!(self.cell.get(), Some(Ok(_)))
+    }
+
+    /// The relation, hydrating it first if needed, or the hydrator's
+    /// corruption message.
+    fn try_get(&self) -> Result<&Relation, &str> {
+        self.cell
+            .get_or_init(|| match &self.init {
+                Some(init) => init(),
+                // Unreachable: `ready` pre-fills the cell and `lazy` sets
+                // `init`, so an empty cell always has a hydrator.
+                None => panic!("LazyRelation with neither relation nor hydrator"),
+            })
+            .as_ref()
+            .map_err(String::as_str)
     }
 
     /// The relation, hydrating it first if needed.
+    ///
+    /// # Panics
+    /// Panics with the hydrator's message if hydration failed. Query
+    /// evaluation never gets here on a corrupt slot: the engine
+    /// [`Database::prefetch`]es every relation it joins and reports the
+    /// failure as a typed error first.
     pub fn get(&self) -> &Relation {
-        self.cell.get_or_init(|| match &self.init {
-            Some(init) => init(),
-            // Unreachable: `ready` pre-fills the cell and `lazy` sets
-            // `init`, so an empty cell always has a hydrator.
-            None => panic!("LazyRelation with neither relation nor hydrator"),
-        })
+        match self.try_get() {
+            Ok(rel) => rel,
+            Err(msg) => panic!("{msg}"),
+        }
     }
 }
 
 impl std::fmt::Debug for LazyRelation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.cell.get() {
-            Some(rel) => f.debug_tuple("Hydrated").field(rel).finish(),
+            Some(Ok(rel)) => f.debug_tuple("Hydrated").field(rel).finish(),
+            Some(Err(msg)) => f.debug_tuple("Failed").field(msg).finish(),
             None => f.write_str("Pending"),
         }
     }
@@ -717,7 +745,14 @@ impl Database {
     /// the relevance pruner's relevant-predicate set so a pruned query
     /// faults in only the columns it joins; already-hydrated and
     /// absent-from-data predicates cost nothing.
-    pub fn prefetch(&self, kinds: impl IntoIterator<Item = PredKind>) -> (u64, u64) {
+    ///
+    /// # Errors
+    /// The hydrator's message for the first slot among `kinds` whose
+    /// hydration fails (a corrupt snapshot block), now or earlier.
+    pub fn prefetch(
+        &self,
+        kinds: impl IntoIterator<Item = PredKind>,
+    ) -> Result<(u64, u64), String> {
         let (mut relations, mut columns) = (0u64, 0u64);
         for kind in kinds {
             let slot = match kind {
@@ -726,14 +761,15 @@ impl Database {
                 PredKind::Top | PredKind::Idb => None,
             };
             if let Some(slot) = slot {
-                if !slot.is_hydrated() {
-                    let rel = slot.get();
+                let fresh = !slot.is_attempted();
+                let rel = slot.try_get().map_err(str::to_owned)?;
+                if fresh {
                     relations += 1;
                     columns += rel.arity() as u64;
                 }
             }
         }
-        (relations, columns)
+        Ok((relations, columns))
     }
 
     /// Number of individuals (rows of `⊤`).
@@ -981,7 +1017,7 @@ mod tests {
         let h = Arc::clone(&hydrations);
         let lazy = LazyRelation::lazy(move || {
             h.fetch_add(1, Ordering::Relaxed);
-            Relation::from_sorted_columns(1, &[vec![7, 8]])
+            Ok(Relation::from_sorted_columns(1, &[vec![7, 8]]))
         });
         assert!(!lazy.is_hydrated());
         assert_eq!(hydrations.load(Ordering::Relaxed), 0, "construction does not hydrate");
@@ -992,6 +1028,17 @@ mod tests {
         let ready = LazyRelation::ready(Relation::new(2));
         assert!(ready.is_hydrated());
         assert!(ready.get().is_empty());
+        // A failing hydrator also runs once; its message is kept.
+        let failures = Arc::new(AtomicUsize::new(0));
+        let f = Arc::clone(&failures);
+        let broken = LazyRelation::lazy(move || {
+            f.fetch_add(1, Ordering::Relaxed);
+            Err("block checksum mismatch".to_owned())
+        });
+        assert_eq!(broken.try_get().unwrap_err(), "block checksum mismatch");
+        assert_eq!(broken.try_get().unwrap_err(), "block checksum mismatch");
+        assert!(!broken.is_hydrated());
+        assert_eq!(failures.load(Ordering::Relaxed), 1, "failed hydration is not retried");
     }
 
     #[test]
@@ -1009,7 +1056,7 @@ mod tests {
             let arity = rel.arity();
             LazyRelation::lazy(move || {
                 t.fetch_add(1, Ordering::Relaxed);
-                Relation::from_sorted_columns(arity, &cols)
+                Ok(Relation::from_sorted_columns(arity, &cols))
             })
         };
         let mut classes = FxHashMap::default();
@@ -1020,11 +1067,11 @@ mod tests {
         let db = Database::from_lazy_relations(classes, props, universe, 3);
         assert_eq!(touched.load(Ordering::Relaxed), 0, "open hydrates nothing");
         // Prefetching only the class touches one relation / one column.
-        let (rels, cols) = db.prefetch([PredKind::EdbClass(a), PredKind::Top]);
+        let (rels, cols) = db.prefetch([PredKind::EdbClass(a), PredKind::Top]).unwrap();
         assert_eq!((rels, cols), (1, 1));
         assert_eq!(touched.load(Ordering::Relaxed), 1);
         // Re-prefetching is free; the property hydrates on demand.
-        assert_eq!(db.prefetch([PredKind::EdbClass(a)]), (0, 0));
+        assert_eq!(db.prefetch([PredKind::EdbClass(a)]), Ok((0, 0)));
         assert_eq!(db.relation(PredKind::EdbProp(p)).len(), 1);
         assert_eq!(touched.load(Ordering::Relaxed), 2);
         // Answers match the eager build.

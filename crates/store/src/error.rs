@@ -13,11 +13,12 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The file does not start with the `OBDB` magic: not a snapshot.
     BadMagic,
-    /// The snapshot's format version is not supported by this build.
+    /// The snapshot's format version is not supported by this build
+    /// (an older or newer layout); `obda build` rewrites it.
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Newest version this build reads.
+        /// The one version this build reads.
         supported: u32,
     },
     /// The file is shorter than a length field claims (truncation).
@@ -70,7 +71,11 @@ impl fmt::Display for StoreError {
             StoreError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             StoreError::BadMagic => write!(f, "not an .obdb snapshot (bad magic)"),
             StoreError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported snapshot version {found} (this build reads <= {supported})")
+                write!(
+                    f,
+                    "unsupported snapshot version {found} (this build reads version {supported}; \
+                     rebuild the snapshot with `obda build`)"
+                )
             }
             StoreError::Truncated { needed, available } => {
                 write!(f, "truncated snapshot: needed {needed} bytes, found {available}")

@@ -15,18 +15,17 @@
 //!   checksummed `.obdb` file ([`mod@format`]): the constant dictionary in
 //!   [`ConstId`] order plus one *sorted, page-aligned segment* per
 //!   non-empty EDB relation, with per-segment checksums, statistics and
-//!   CSR index blocks in the directory ([`write_snapshot_footer`] emits
-//!   the appendable footer form [`append_snapshot`] grows in place);
-//! * [`Snapshot::open`] memory-maps the file ([`mod@map`]) and decodes
-//!   *only* the metadata: every relation enters the [`Database`] as a
-//!   lazy segment hydrated — verified, zero-copy where the platform
+//!   CSR index blocks in the directory. There is one layout; a file of
+//!   any other version is refused and rebuilt with `obda build`;
+//! * [`Snapshot::open_with`] memory-maps the file ([`mod@map`]) and
+//!   decodes *only* the metadata: every relation enters the [`Database`]
+//!   as a lazy segment hydrated — verified, zero-copy where the platform
 //!   allows — on first touch, so open time is O(metadata) and resident
-//!   bytes track the columns a query actually joins
-//!   ([`Snapshot::open_eager`] restores the decode-everything
-//!   behaviour; version-1 flat files still open through it). Predicates
-//!   are resolved *by name* against the current ontology's [`Vocab`],
-//!   so a snapshot survives re-interning; constants keep their dense
-//!   ids verbatim;
+//!   bytes track the columns a query actually joins ([`Hydration::Eager`]
+//!   decodes everything at open instead; [`Snapshot::open`] is the lazy,
+//!   untraced, unbudgeted shorthand). Predicates are resolved *by name*
+//!   against the current ontology's [`Vocab`], so a snapshot survives
+//!   re-interning; constants keep their dense ids verbatim;
 //! * [`StorageBackend`] is the seam the pipeline evaluates through:
 //!   [`MemoryBackend`] (parse path) and [`Snapshot`] (open path) expose
 //!   the *same* [`Database`], so both share one eval hot path.
@@ -35,7 +34,11 @@
 //!
 //! Everything that can go wrong on disk — truncation, bit flips, a stale
 //! format version, an unknown predicate — surfaces as a typed
-//! [`StoreError`], never a panic. The open path carries a deterministic
+//! [`StoreError`] at open, never a panic. Corruption inside a data block
+//! that a lazy open has not touched yet surfaces when the block
+//! hydrates: as a typed hydration error from [`Database::prefetch`],
+//! which the engine calls before any join and reports as a corruption
+//! error. The open path carries a deterministic
 //! fault-injection site (`store::open`, behind the `faults` feature): a
 //! transient injected fault is caught at the store boundary and mapped to
 //! [`StoreError::Injected`]; a deliberate injected *panic* is re-raised
@@ -43,7 +46,7 @@
 //!
 //! ## Observability
 //!
-//! [`Snapshot::open_budgeted`] records a `load_data` span with `open`
+//! [`Snapshot::open_with`] records a `load_data` span with `open`
 //! (read + header + checksum), `dict` and `segments` children, observes
 //! the `store_open_seconds` histogram, sets the `store_bytes` gauge, and
 //! ticks the shared [`obda_budget::Budget`] while decoding, so loading a
@@ -75,12 +78,11 @@ pub mod snapshot;
 
 pub use backend::{MemoryBackend, StorageBackend};
 pub use error::StoreError;
-pub use format::{flag_names, unknown_flags, FLAG_APPENDED, FLAG_FOOTER, FLAG_INDEXES, FLAG_STATS};
+pub use format::{flag_names, unknown_flags, FLAG_INDEXES, FLAG_STATS};
 pub use map::Mapping;
 pub use snapshot::{
-    append_snapshot, read_info, snapshot_bytes, snapshot_bytes_footer, snapshot_bytes_legacy,
-    snapshot_bytes_v1, temp_sibling, write_snapshot, write_snapshot_footer, Hydration,
-    RelationInfo, Snapshot, SnapshotInfo,
+    read_info, snapshot_bytes, temp_sibling, write_snapshot, Hydration, RelationInfo, Snapshot,
+    SnapshotInfo,
 };
 
 // Re-exported so downstream callers name the dictionary types through one

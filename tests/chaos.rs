@@ -528,6 +528,21 @@ fn store_temp_path() -> std::path::PathBuf {
     ))
 }
 
+/// Opens `path` with every segment hydrated (and verified) at open.
+fn eager_open(
+    path: &std::path::Path,
+    vocab: &obda::owlql::vocab::Vocab,
+) -> Result<obda::Snapshot, obda::StoreError> {
+    let mut budget = obda::budget::Budget::unlimited();
+    obda::Snapshot::open_with(
+        path,
+        vocab,
+        &mut budget,
+        Telemetry::disabled(),
+        obda::Hydration::Eager,
+    )
+}
+
 /// Writes the fixture data as a snapshot and returns the system that owns
 /// the vocabulary it was written against.
 fn store_fixture(path: &std::path::Path) -> ObdaSystem {
@@ -592,11 +607,12 @@ fn store_open_injected_panic_unwinds_cleanly() {
 /// * any truncation fails typed at open, even lazily — every declared
 ///   byte range is pre-validated against the mapped length, so a short
 ///   file can never SIGBUS a later column touch;
-/// * a bit flip either fails typed (at open, or — lazily — as the typed
-///   "failed to hydrate" panic on first touch, which the pipeline's
-///   isolation boundary catches) or lands in dead padding bytes, in
-///   which case the decoded instance must be byte-identical to the
-///   original.
+/// * a bit flip either fails typed (at open, or — lazily — when the
+///   block hydrates: the `&self` instance view below can only panic with
+///   the "failed to hydrate" message, while query evaluation reports it
+///   as a typed corruption error, see the next tests) or lands in dead
+///   padding bytes, in which case the decoded instance must be
+///   byte-identical to the original.
 #[test]
 fn truncated_and_bit_flipped_snapshots_fail_typed() {
     let _serial = serial();
@@ -622,7 +638,7 @@ fn truncated_and_bit_flipped_snapshots_fail_typed() {
         let vocab = sys.ontology().vocab();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             match mode {
-                Hydration::Eager => Snapshot::open_eager(&path, vocab),
+                Hydration::Eager => eager_open(&path, vocab),
                 Hydration::Lazy => Snapshot::open(&path, vocab),
             }
             .map(|snap| snap.data_instance().to_text(sys.ontology()))
@@ -661,7 +677,7 @@ fn truncated_and_bit_flipped_snapshots_fail_typed() {
             std::fs::write(&path, &original[..len]).unwrap();
             let vocab = sys.ontology().vocab();
             let caught = catch_unwind(AssertUnwindSafe(|| match mode {
-                Hydration::Eager => Snapshot::open_eager(&path, vocab),
+                Hydration::Eager => eager_open(&path, vocab),
                 Hydration::Lazy => Snapshot::open(&path, vocab),
             }));
             let result = caught.unwrap_or_else(|_| panic!("{ctx}: open panicked"));
@@ -698,7 +714,7 @@ fn store_map_transient_fault_is_typed_then_recovers() {
     let sys = store_fixture(&path);
     let plan = FaultPlan::always(23, site::STORE_MAP, FaultKind::Transient);
     let guard = plan.install();
-    for open in [Snapshot::open, Snapshot::open_eager] {
+    for open in [Snapshot::open, eager_open] {
         let err = open(&path, sys.ontology().vocab()).unwrap_err();
         assert!(
             matches!(&err, StoreError::Injected { site } if site == site::STORE_MAP),
@@ -720,11 +736,11 @@ fn store_map_transient_fault_is_typed_then_recovers() {
 }
 
 /// A corrupted segment reached through the *pipeline* (not a direct
-/// touch): the lazy hydration panic is caught at the pipeline's
-/// isolation boundary and recorded as a typed internal error — never an
+/// touch): the engine's up-front hydration reports it as the typed
+/// corruption error of a failed evaluation — no panic at all, never an
 /// escaped unwind, never a wrong answer.
 #[test]
-fn lazy_hydration_panic_is_isolated_by_the_pipeline() {
+fn lazy_hydration_corruption_is_a_typed_eval_error() {
     let _serial = serial();
     use obda::Snapshot;
 
@@ -744,14 +760,15 @@ fn lazy_hydration_panic_is_isolated_by_the_pipeline() {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &BudgetSpec::unlimited())
     }));
-    let report = caught.expect("the hydration panic must not escape the pipeline");
+    let report = caught.expect("hydration must not unwind out of the pipeline");
     assert!(report.result().is_none(), "corrupted segments cannot produce answers");
     assert!(
-        report.attempts.iter().any(|a| matches!(
+        report.attempts.iter().all(|a| matches!(
             &a.outcome,
-            AttemptOutcome::Panicked { payload, .. } if payload.contains("failed to hydrate")
+            AttemptOutcome::EvalFailed(obda::ndl::eval::EvalError::Corrupt(msg))
+                if msg.contains("failed to hydrate")
         )),
-        "the typed hydration panic must surface in the report:\n{report}"
+        "every attempt must fail with the typed corruption error:\n{report}"
     );
 }
 

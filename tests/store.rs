@@ -8,16 +8,19 @@
 //! every Table-2 dataset, the fallback ladder, the parallel engine and
 //! the query service.
 
+use obda::budget::Budget;
 use obda::budget::BudgetSpec;
 use obda::datagen::erdos::TABLE_2;
 use obda::datagen::sequences::{example_11_ontology, word_query};
 use obda::ndl::engine::EngineConfig;
-use obda::owlql::abox::{ConstId, DataInstance};
+use obda::ndl::eval::EvalError;
+use obda::owlql::abox::DataInstance;
 use obda::{
-    append_snapshot, read_info, write_snapshot, write_snapshot_footer, MemoryBackend, ObdaSystem,
-    QueryService, ServiceConfig, Snapshot, StorageBackend, Strategy,
+    read_info, write_snapshot, AttemptOutcome, Hydration, MemoryBackend, ObdaError, ObdaSystem,
+    QueryService, ServiceConfig, Snapshot, StorageBackend, StoreError, Strategy, Telemetry,
 };
-use std::collections::BTreeSet;
+use proptest::prelude::*;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Small enough that the chase oracle answers in milliseconds, large
@@ -44,6 +47,18 @@ fn paper_system() -> ObdaSystem {
 
 fn table2_dataset(sys: &ObdaSystem, idx: usize) -> DataInstance {
     TABLE_2[idx].scaled(SCALE).generate(sys.ontology())
+}
+
+/// Opens `path` with every segment hydrated at open (`--eager`).
+fn eager_open(path: &Path, sys: &ObdaSystem) -> Result<Snapshot, StoreError> {
+    let vocab = sys.ontology().vocab();
+    Snapshot::open_with(
+        path,
+        vocab,
+        &mut Budget::unlimited(),
+        Telemetry::disabled(),
+        Hydration::Eager,
+    )
 }
 
 /// Writes `data` to a fresh temp snapshot and reopens it.
@@ -113,54 +128,6 @@ fn parallel_engine_on_snapshot_matches_oracle() {
     }
 }
 
-/// Forward compatibility with pre-stats snapshots: a legacy file (no
-/// stats section, flags 0) opens cleanly, derives its relation
-/// statistics on first use, and the cost-based planner over those
-/// derived stats answers exactly like the chase oracle.
-#[test]
-fn pre_stats_snapshot_opens_and_derives_statistics() {
-    let sys = paper_system();
-    let data = table2_dataset(&sys, 0);
-    let vocab = sys.ontology().vocab();
-
-    let legacy = obda::store::snapshot_bytes_legacy(vocab, &data);
-    let current = obda::store::snapshot_bytes(vocab, &data);
-    assert!(legacy.len() < current.len(), "the stats section must be optional");
-
-    let path = temp_path();
-    std::fs::write(&path, &legacy).unwrap();
-    let info = read_info(&path).unwrap();
-    assert_eq!(info.flags, 0, "legacy snapshots set no format flags");
-    assert_eq!(info.stats_source(), "derived", "dbinfo must report derived stats");
-
-    let snap = Snapshot::open(&path, vocab).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(snap.info().stats_source(), "derived");
-
-    let spec = BudgetSpec::unlimited();
-    for word in WORDS {
-        let q = word_query(sys.ontology(), word);
-        let oracle = sys.certain_answers(&q, &data).tuples();
-        let res = sys
-            .answer_with_budget_engine_backend_traced(
-                &q,
-                &snap,
-                Strategy::Tw,
-                &spec,
-                &EngineConfig::default(),
-                obda::Telemetry::disabled(),
-            )
-            .unwrap();
-        assert_eq!(res.answers, oracle, "legacy snapshot, word {word}");
-    }
-
-    // The current writer embeds the stats section and reports so.
-    let path = temp_path();
-    std::fs::write(&path, &current).unwrap();
-    assert_eq!(read_info(&path).unwrap().stats_source(), "embedded");
-    std::fs::remove_file(&path).ok();
-}
-
 /// The service's backend entry points answer exactly like its parse
 /// entry points, for both prepared (`submit_backend`) and one-shot
 /// (`answer_backend`) requests.
@@ -219,130 +186,44 @@ fn memory_backend_is_the_parse_path_behind_the_seam() {
     }
 }
 
-/// The mmap differential, closed over every on-disk layout: for the
-/// lazily hydrated open (`--mmap`, the default), the eager A/B open
-/// (`--eager`), and the v2-inline / v2-footer / v1-stats / v1-legacy
-/// forms of the *same* instance, the fallback ladder answers exactly
-/// the chase oracle — and the lazy open never hydrates more than the
-/// eager one.
+/// The mmap differential on the one on-disk layout: the lazily
+/// hydrated open (`--mmap`, the default), the eager A/B open (`--eager`)
+/// and the in-memory backend of the *same* instance answer exactly the
+/// chase oracle through the fallback ladder — and the lazy open never
+/// hydrates more than the eager one.
 #[test]
 fn lazy_eager_and_every_layout_agree_with_oracle() {
     let sys = paper_system();
     let vocab = sys.ontology().vocab();
     let spec = BudgetSpec::unlimited();
     let data = table2_dataset(&sys, 0);
-    let queries: Vec<_> = WORDS
-        .iter()
-        .map(|w| {
-            let q = word_query(sys.ontology(), w);
-            let oracle = sys.certain_answers(&q, &data).tuples();
-            (*w, q, oracle)
-        })
-        .collect();
-    let variants: [(&str, Vec<u8>); 4] = [
-        ("v2-inline", obda::store::snapshot_bytes(vocab, &data)),
-        ("v2-footer", obda::store::snapshot_bytes_footer(vocab, &data)),
-        ("v1-stats", obda::store::snapshot_bytes_v1(vocab, &data)),
-        ("v1-legacy", obda::store::snapshot_bytes_legacy(vocab, &data)),
-    ];
-    for (tag, bytes) in &variants {
-        let path = temp_path();
-        std::fs::write(&path, bytes).unwrap();
-        let lazy = Snapshot::open(&path, vocab).unwrap();
-        let eager = Snapshot::open_eager(&path, vocab).unwrap();
-        std::fs::remove_file(&path).ok();
-        for (word, q, oracle) in &queries {
-            for (mode, snap) in [("lazy", &lazy), ("eager", &eager)] {
-                let report = sys.answer_with_fallback_backend(q, snap, Strategy::Tw, &spec);
-                assert_eq!(
-                    report.result().map(|r| &r.answers),
-                    Some(oracle),
-                    "{tag} {mode} word {word}"
-                );
-            }
-        }
-        assert!(
-            lazy.bytes_touched() <= eager.bytes_touched(),
-            "{tag}: lazy hydration ({}) must not exceed the eager footprint ({})",
-            lazy.bytes_touched(),
-            eager.bytes_touched()
-        );
-        assert_eq!(
-            lazy.resident_bytes(),
-            Some(lazy.bytes_touched()),
-            "{tag}: the backend seam must export the hydrated footprint"
-        );
-    }
-}
-
-/// Renders answer tuples as name tuples, so answer sets from backends
-/// with *different* constant dictionaries can be compared.
-fn named_answers(
-    tuples: &[Vec<ConstId>],
-    name: impl Fn(ConstId) -> String,
-) -> BTreeSet<Vec<String>> {
-    tuples.iter().map(|t| t.iter().map(|&c| name(c)).collect()).collect()
-}
-
-/// The appendable footer form end to end: a base snapshot of the
-/// property atoms grown by [`append_snapshot`] with the class markers
-/// answers exactly like the monolithic instance, lazy and eager — the
-/// delta's constants are remapped by name, so answers are compared as
-/// name tuples.
-#[test]
-fn appended_snapshot_answers_like_the_monolithic_instance() {
-    let sys = paper_system();
-    let vocab = sys.ontology().vocab();
-    let spec = BudgetSpec::unlimited();
-
-    // Split by predicate — the appender refuses to merge into an
-    // existing segment, so the base gets one property wholesale and the
-    // delta gets every other predicate. Not every Table-2 dataset has
-    // two predicates at this scale; take the first that splits.
-    let (data, base, delta) = (0..TABLE_2.len())
-        .find_map(|idx| {
-            let data = table2_dataset(&sys, idx);
-            let first_prop = data.prop_atoms().next().map(|(p, _, _)| p)?;
-            let mut base = DataInstance::new();
-            let mut delta = DataInstance::new();
-            for (p, a, b) in data.prop_atoms() {
-                let tgt = if p == first_prop { &mut base } else { &mut delta };
-                let x = tgt.constant(data.constant_name(a));
-                let y = tgt.constant(data.constant_name(b));
-                tgt.add_prop_atom(p, x, y);
-            }
-            for (c, a) in data.class_atoms() {
-                let x = delta.constant(data.constant_name(a));
-                delta.add_class_atom(c, x);
-            }
-            (base.num_atoms() > 0 && delta.num_atoms() > 0).then_some((data, base, delta))
-        })
-        .expect("some Table-2 dataset must split into two nonempty halves");
-
     let path = temp_path();
-    write_snapshot_footer(&path, vocab, &base).unwrap();
-    let info = append_snapshot(&path, vocab, &delta).unwrap();
-    assert!(info.footer && info.appended, "the grown file stays appendable and says so");
-    assert_eq!(info.num_atoms as usize, data.num_atoms());
-
+    write_snapshot(&path, vocab, &data).unwrap();
     let lazy = Snapshot::open(&path, vocab).unwrap();
-    let eager = Snapshot::open_eager(&path, vocab).unwrap();
+    let eager = eager_open(&path, &sys).unwrap();
     std::fs::remove_file(&path).ok();
+    let memory = MemoryBackend::new(data.clone());
+    let backends: [(&str, &dyn StorageBackend); 3] =
+        [("lazy", &lazy), ("eager", &eager), ("memory", &memory)];
     for word in WORDS {
         let q = word_query(sys.ontology(), word);
-        let oracle = named_answers(&sys.certain_answers(&q, &data).tuples(), |c| {
-            data.constant_name(c).to_owned()
-        });
-        for (mode, snap) in [("lazy", &lazy), ("eager", &eager)] {
-            let report = sys.answer_with_fallback_backend(&q, snap, Strategy::Tw, &spec);
-            let result = report.result().unwrap_or_else(|| panic!("{mode} word {word} failed"));
-            assert_eq!(
-                named_answers(&result.answers, |c| snap.constant_name(c).to_owned()),
-                oracle,
-                "{mode} word {word}: appended snapshot vs oracle"
-            );
+        let oracle = sys.certain_answers(&q, &data).tuples();
+        for (mode, backend) in backends {
+            let report = sys.answer_with_fallback_backend(&q, backend, Strategy::Tw, &spec);
+            assert_eq!(report.result().map(|r| &r.answers), Some(&oracle), "{mode} word {word}");
         }
     }
+    assert!(
+        lazy.bytes_touched() <= eager.bytes_touched(),
+        "lazy hydration ({}) must not exceed the eager footprint ({})",
+        lazy.bytes_touched(),
+        eager.bytes_touched()
+    );
+    assert_eq!(
+        lazy.resident_bytes(),
+        Some(lazy.bytes_touched()),
+        "the backend seam must export the hydrated footprint"
+    );
 }
 
 /// Lazy hydration through the query service: prepared and one-shot
@@ -356,7 +237,7 @@ fn service_requests_hydrate_lazily_and_match_eager() {
     let path = temp_path();
     write_snapshot(&path, vocab, &data).unwrap();
     let lazy = Snapshot::open(&path, vocab).unwrap();
-    let eager = Snapshot::open_eager(&path, vocab).unwrap();
+    let eager = eager_open(&path, &sys).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(lazy.columns_touched(), 0, "opening alone must hydrate nothing");
 
@@ -521,8 +402,8 @@ fn run_dbinfo(path: &std::path::Path) -> (i32, String, String) {
 
 /// Pins `obda dbinfo`'s flag reporting: known bits are printed by name,
 /// an unknown-but-optional bit from a future writer is called out as
-/// tolerated (and still exits 0), an unknown *required* bit refuses with
-/// the snapshot exit code, and the layout/index lines track the form.
+/// tolerated (and still exits 0), and an unknown *required* bit — the
+/// retired footer bit 2 among them — refuses with the snapshot exit code.
 #[test]
 fn dbinfo_prints_known_and_unknown_flags_layout_and_index_source() {
     let sys = paper_system();
@@ -530,41 +411,18 @@ fn dbinfo_prints_known_and_unknown_flags_layout_and_index_source() {
     let data = table2_dataset(&sys, 0);
     let path = temp_path();
 
-    // The default v2 inline writer: stats + indexes, no unknown bits.
+    // The writer: stats + indexes, no unknown bits.
     write_snapshot(&path, vocab, &data).unwrap();
     let (code, out, err) = run_dbinfo(&path);
     assert_eq!(code, 0, "stderr: {err}");
     assert!(out.contains("(known: stats, indexes)"), "stdout: {out}");
     assert!(!out.contains("unknown:"), "no unknown bits to report: {out}");
-    assert!(out.contains("layout:         inline"), "stdout: {out}");
-    assert!(out.contains("indexes:        embedded"), "stdout: {out}");
-
-    // The footer form grown by the appender names both extra bits.
-    write_snapshot_footer(&path, vocab, &data).unwrap();
-    let mut delta = DataInstance::new();
-    let c = delta.constant("dbinfo-fresh-constant");
-    let class = data.class_atoms().next().map(|(cl, _)| cl);
-    if let Some(class) = class {
-        // Appending needs a predicate absent from the base file: drop the
-        // class segments from the base by rebuilding it property-only.
-        let mut base = DataInstance::new();
-        for (p, a, b) in data.prop_atoms() {
-            let x = base.constant(data.constant_name(a));
-            let y = base.constant(data.constant_name(b));
-            base.add_prop_atom(p, x, y);
-        }
-        write_snapshot_footer(&path, vocab, &base).unwrap();
-        delta.add_class_atom(class, c);
-        append_snapshot(&path, vocab, &delta).unwrap();
-        let (code, out, _) = run_dbinfo(&path);
-        assert_eq!(code, 0);
-        assert!(out.contains("(known: stats, indexes, footer, appended)"), "stdout: {out}");
-        assert!(out.contains("layout:         footer (appendable, has appended segments)"));
+    for retired in ["layout:", "stats:", "indexes:"] {
+        assert!(!out.contains(retired), "one layout, nothing to report: {out}");
     }
 
     // An unknown *optional* (upper-half) flag bit — a future writer's
     // hint — is tolerated and reported. Flags live at header bytes 8..12.
-    write_snapshot(&path, vocab, &data).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[10] |= 0x02; // bit 17
     std::fs::write(&path, &bytes).unwrap();
@@ -574,22 +432,167 @@ fn dbinfo_prints_known_and_unknown_flags_layout_and_index_source() {
     assert!(out.contains("optional bits tolerated"), "stdout: {out}");
     assert!(out.contains("(known: stats, indexes;"), "known names still print: {out}");
 
-    // An unknown *required* (lower-half) bit refuses with the snapshot
-    // exit code (3), naming the bit.
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[10] &= !0x02;
-    bytes[8] |= 0x08; // bit 3: required, unknown
-    std::fs::write(&path, &bytes).unwrap();
-    let (code, _, err) = run_dbinfo(&path);
-    assert_eq!(code, 3, "unknown required bits are incompatibility, stderr: {err}");
-
-    // A v1 file: flat layout, no flags, everything derived on open.
-    std::fs::write(&path, obda::store::snapshot_bytes_legacy(vocab, &data)).unwrap();
-    let (code, out, _) = run_dbinfo(&path);
-    assert_eq!(code, 0);
-    assert!(out.contains("(known: none)"), "stdout: {out}");
-    assert!(out.contains("layout:         flat (v1)"), "stdout: {out}");
-    assert!(out.contains("stats:          derived"), "stdout: {out}");
-    assert!(out.contains("indexes:        derived"), "stdout: {out}");
+    // Unknown *required* (lower-half) bits refuse with the snapshot exit
+    // code (3): bit 3, and bit 2 (the retired footer form).
+    let mut base = std::fs::read(&path).unwrap();
+    base[10] &= !0x02;
+    for bit in [0x08u8, 0x04] {
+        let mut bytes = base.clone();
+        bytes[8] |= bit;
+        std::fs::write(&path, &bytes).unwrap();
+        let (code, _, err) = run_dbinfo(&path);
+        assert_eq!(code, 3, "unknown required bits are incompatibility, stderr: {err}");
+        assert!(err.contains("unknown required flags"), "stderr: {err}");
+    }
     std::fs::remove_file(&path).ok();
+}
+
+// ---------------------------------------------------------------------
+// Corruption found at hydration is a typed error on every path.
+// ---------------------------------------------------------------------
+
+const CORRUPT_ONTOLOGY: &str = "Professor SubClassOf exists teaches\n\
+                                exists teaches- SubClassOf Course\n";
+const CORRUPT_QUERY: &str = "q(x) :- teaches(x, y), Course(y)";
+const CORRUPT_DATA: &str =
+    "Professor(ada)\nProfessor(bob)\nteaches(carol, logic)\nCourse(logic)\nCourse(algebra)\n";
+
+/// The corruption fixture: the system, its query, the oracle answers and
+/// the snapshot bytes of the data.
+fn corruption_fixture(
+) -> (ObdaSystem, obda::cq::query::Cq, Vec<Vec<obda::owlql::abox::ConstId>>, Vec<u8>) {
+    let sys = ObdaSystem::from_text(CORRUPT_ONTOLOGY).unwrap();
+    let q = sys.parse_query(CORRUPT_QUERY).unwrap();
+    let data = sys.parse_data(CORRUPT_DATA).unwrap();
+    let oracle = sys.certain_answers(&q, &data).tuples();
+    assert!(!oracle.is_empty(), "the fixture must have answers");
+    let bytes = obda::store::snapshot_bytes(sys.ontology().vocab(), &data);
+    (sys, q, oracle, bytes)
+}
+
+/// Whether `report` is a typed corruption verdict: no winner, the final
+/// error is [`EvalError::Corrupt`], and no attempt panicked.
+fn is_corrupt_verdict(report: &obda::PipelineReport) -> bool {
+    let panicked =
+        report.attempts.iter().any(|a| matches!(a.outcome, AttemptOutcome::Panicked { .. }));
+    !panicked && matches!(report.final_error(), Some(ObdaError::Eval(EvalError::Corrupt(_))))
+}
+
+fn run_obda(args: &[&std::ffi::OsStr]) -> (i32, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_obda")).args(args).output().unwrap();
+    let code = out.status.code().expect("obda must exit, not die on a signal");
+    (code, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// A flipped bit inside a data block the query joins is found when the
+/// block hydrates, after a lazy open succeeded: the fallback ladder, the
+/// query service and `obda answer --db` all report it as the typed
+/// corruption error (exit 3, HTTP 500 through `ObdaError::Eval`) — never
+/// as an isolated panic. A version-1 header is refused at open, naming
+/// the migration.
+#[test]
+fn corrupt_data_block_is_a_typed_error_on_every_path() {
+    let (sys, q, _, mut bytes) = corruption_fixture();
+    // The metadata fits in the first page, so file offset 4096 starts
+    // the first data block: the `Course` column, which the query joins.
+    bytes[4096] ^= 0x01;
+    let path = temp_path();
+    std::fs::write(&path, &bytes).unwrap();
+    let snap = Snapshot::open(&path, sys.ontology().vocab()).expect("lazy open reads only meta");
+
+    let spec = BudgetSpec::unlimited();
+    let report = sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &spec);
+    assert!(is_corrupt_verdict(&report), "ladder:\n{report}");
+    let msg = report.final_error().unwrap().to_string();
+    assert!(msg.contains("failed to hydrate") && msg.contains("checksum"), "{msg}");
+
+    let svc = QueryService::new(
+        ObdaSystem::from_text(CORRUPT_ONTOLOGY).unwrap(),
+        ServiceConfig::default(),
+    );
+    let served = svc.answer_backend(&q, &snap, Strategy::Tw).unwrap();
+    assert!(is_corrupt_verdict(&served.report), "service:\n{}", served.report);
+    assert_eq!(svc.stats().failed, 1);
+
+    // The CLI: exit 3 (a corrupt snapshot), not 8 (an isolated panic).
+    let dir = std::env::temp_dir();
+    let onto = dir.join(format!("obda-corrupt-{}.owlql", std::process::id()));
+    let query = dir.join(format!("obda-corrupt-{}.cq", std::process::id()));
+    std::fs::write(&onto, CORRUPT_ONTOLOGY).unwrap();
+    std::fs::write(&query, CORRUPT_QUERY).unwrap();
+    let answer = |db: &Path| {
+        run_obda(&[
+            "answer".as_ref(),
+            "--ontology".as_ref(),
+            onto.as_os_str(),
+            "--query".as_ref(),
+            query.as_os_str(),
+            "--db".as_ref(),
+            db.as_os_str(),
+        ])
+    };
+    let (code, err) = answer(&path);
+    assert_eq!(code, 3, "stderr: {err}");
+    assert!(err.contains("corrupt data"), "stderr: {err}");
+
+    // A version-1 header: refused at open with the migration named.
+    bytes[4096] ^= 0x01;
+    bytes[4] = 1;
+    std::fs::write(&path, &bytes).unwrap();
+    let (code, err) = answer(&path);
+    assert_eq!(code, 3, "stderr: {err}");
+    assert!(err.contains("unsupported snapshot version 1") && err.contains("obda build"), "{err}");
+    for f in [&path, &onto, &query] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48 })]
+
+    /// A single bit flip anywhere in the file — header, metadata, zero
+    /// padding, data or index block — yields the oracle answer, a typed
+    /// [`StoreError`] at open, or the typed corruption error from the
+    /// ladder and the service. Never a wrong answer, never a panic.
+    /// Half the cases flip a byte outside the zero padding between the
+    /// metadata and the first data block.
+    #[test]
+    fn bit_flips_give_the_oracle_a_typed_open_error_or_corrupt(
+        live in any::<bool>(),
+        off in 0usize..1 << 20,
+        bit in 0u8..8,
+    ) {
+        let (sys, q, oracle, mut bytes) = corruption_fixture();
+        let meta_end = 36 + u64::from_le_bytes(bytes[28..36].try_into().unwrap()) as usize;
+        let pos = if live {
+            let live: Vec<usize> = (0..meta_end).chain(4096..bytes.len()).collect();
+            live[off % live.len()]
+        } else {
+            off % bytes.len()
+        };
+        bytes[pos] ^= 1 << bit;
+        let path = temp_path();
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = Snapshot::open(&path, sys.ontology().vocab());
+        std::fs::remove_file(&path).ok();
+        let ctx = format!("bit {bit} at byte {pos}");
+        let snap = match opened {
+            Ok(snap) => snap,
+            Err(e) => {
+                prop_assert!(!matches!(e, StoreError::Io(_) | StoreError::Injected { .. }), "{ctx}: {e}");
+                return Ok(());
+            }
+        };
+        let svc = QueryService::new(ObdaSystem::from_text(CORRUPT_ONTOLOGY).unwrap(), ServiceConfig::default());
+        let reports = [
+            sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &BudgetSpec::unlimited()),
+            svc.answer_backend(&q, &snap, Strategy::Tw).unwrap().report,
+        ];
+        for report in &reports {
+            match report.result() {
+                Some(res) => prop_assert_eq!(&res.answers, &oracle, "{}: wrong answer", ctx),
+                None => prop_assert!(is_corrupt_verdict(report), "{ctx}:\n{report}"),
+            }
+        }
+    }
 }
