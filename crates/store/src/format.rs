@@ -511,6 +511,23 @@ mod tests {
     }
 
     #[test]
+    fn v1_files_cannot_declare_v2_layout_flags() {
+        // A version-1 header is refused whatever layout flags it claims:
+        // the version check comes before the flags are read.
+        for flags in [0, FLAG_STATS, FLAG_INDEXES, KNOWN_FLAGS, KNOWN_FLAGS | 1 << 2] {
+            let mut file = with_flags(file_with_meta(b""), flags);
+            file[4..8].copy_from_slice(&1u32.to_le_bytes());
+            assert!(
+                matches!(
+                    parse_file(&file),
+                    Err(StoreError::UnsupportedVersion { found: 1, supported: FORMAT_VERSION })
+                ),
+                "flags {flags:#x}"
+            );
+        }
+    }
+
+    #[test]
     fn reader_never_reads_past_the_end() {
         let mut r = Reader::new(&[1, 2]);
         assert!(matches!(r.get_u32(), Err(StoreError::Truncated { .. })));
